@@ -10,7 +10,7 @@ with a per-user normalization, which focuses received energy on the
 central tap (index L of the 2L-1 response taps).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,22 +19,6 @@ from .linops import pseudo_inverse, sylvester_matrix
 
 # a candidate tap counts as reachable when the stacked system solves to this
 _ZF_RESIDUAL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ZfCandidate:
-    """One (MU, tap) zero-forcing solution.
-
-    filters: (M0, L) per-antenna taps, unit stacked norm.
-    tap: 1-based target index in 1..2L-1.
-    c: normalization scalar; the received target tap equals c.
-    gamma: ranking ratio main/(isi + leakage + 1).
-    """
-
-    filters: np.ndarray
-    tap: int
-    c: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -58,94 +42,49 @@ def _unflatten(w, M, L):
     return w.reshape(L, M).T
 
 
-def _combined_response(filters, cirs):
-    """Sum over antennas of filter-channel convolutions, length 2L-1."""
-    return sum(np.convolve(filters[m], cirs[m]) for m in range(filters.shape[0]))
-
-
-def zf_gamma_cirs(filters, h, n, tap):
-    """Ranking ratio for a candidate: target-tap power over residual power.
-
-    Residual = own off-target taps plus leakage onto every other MU's
-    channel, plus 1 (unit-normalized noise placeholder used only to rank).
-    """
-    own = _combined_response(filters, h[:, n, :])
-    main = abs(own[tap - 1]) ** 2
-    isi = float(np.sum(np.abs(own) ** 2)) - main
-    leak = 0.0
-    for n2 in range(h.shape[1]):
-        if n2 != n:
-            leak += float(np.sum(np.abs(_combined_response(filters, h[:, n2, :])) ** 2))
-    return main / (isi + leak + 1.0)
-
-
-def zf_candidate_cirs(h, n, tap, pinv=None, strict=True):
-    """Zero-forcing solution for MU n targeting the given 1-based tap.
-
-    With strict=True a candidate whose selector falls outside the row
-    space (stacked-system residual above 1e-6) raises InfeasibleError;
-    strict=False keeps the least-squares solution, which is the mode used
-    when the system is too wide to invert exactly.
-    """
-    M, N, L = h.shape
-    bands = 2 * L - 1
-    if not 1 <= tap <= bands:
-        raise ValueError(f"tap must lie in 1..{bands}, got {tap}")
-    H = _stacked_system(h)
-    P = pseudo_inverse(H) if pinv is None else pinv
-    idx = n * bands + (tap - 1)
-    w = P[:, idx].copy()
-    if strict:
-        r = H @ w
-        r[idx] -= 1.0
-        res = float(np.linalg.norm(r))
-        if res > _ZF_RESIDUAL_TOL:
-            raise InfeasibleError(
-                "zf", f"tap {tap} unreachable for user {n} (residual {res:.2e})"
-            )
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        raise InfeasibleError("zf", f"tap {tap} for user {n} has a zero solution")
-    filters = _unflatten(w / nw, M, L)
-    cand = ZfCandidate(filters=filters, tap=tap, c=1.0 / nw, gamma=0.0)
-    return replace(cand, gamma=zf_gamma_cirs(filters, h, n, tap))
-
-
 def zf_select_cirs(h, strict=True):
     """Best-tap zero-forcing filters for every user of a CIR group.
 
-    Sweeps all 2L-1 candidate taps per user, keeps the largest ranking
-    ratio, breaking ties toward the smallest tap. Returns (filters, taps)
-    with filters (M, N, L) and 1-based taps (N,).
+    Candidate (n, tap) is column idx = n*(2L-1) + tap-1 of P = pinv(H),
+    for the stacked system H; column idx of H @ P is that candidate's
+    stacked response at every MU. Its ranking ratio is target-tap power
+    over residual power (own off-target taps plus leakage onto every other
+    MU, plus 1 as a unit-normalized noise placeholder), all for the filter
+    scaled to unit stacked norm. With strict=True a candidate whose
+    column of H @ P - I has norm above 1e-6 is unreachable; strict=False
+    keeps the least-squares solution, which is the mode used when the
+    system is too wide to invert exactly.
+
+    Keeps each user's largest ratio, breaking ties toward the smallest
+    tap. Returns (filters, taps) with filters (M, N, L), unit stacked norm,
+    and 1-based taps (N,).
     """
     M, N, L = h.shape
-    P = pseudo_inverse(_stacked_system(h))
+    bands = 2 * L - 1
+    H = _stacked_system(h)
+    P = pseudo_inverse(H)
+    HP = H @ P
+    main = np.abs(np.diagonal(HP)) ** 2
+    # both terms scale with the squared filter norm, so rank unnormalized
+    residual = np.sum(np.abs(HP) ** 2, axis=0) - main
+    norm_sq = np.sum(np.abs(P) ** 2, axis=0)
+    reachable = norm_sq > 0.0
+    if strict:
+        miss = np.linalg.norm(HP - np.eye(N * bands), axis=0)
+        reachable &= miss <= _ZF_RESIDUAL_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = np.where(reachable, main / (residual + norm_sq), -np.inf)
     u = np.zeros((M, N, L), dtype=complex)
     alpha = np.zeros(N, dtype=int)
     for n in range(N):
-        best = None
-        for tap in range(1, 2 * L):
-            try:
-                cand = zf_candidate_cirs(h, n, tap, pinv=P, strict=strict)
-            except InfeasibleError:
-                continue
-            if best is None or cand.gamma > best.gamma:
-                best = cand
-        if best is None:
+        cols = slice(n * bands, (n + 1) * bands)
+        if not reachable[cols].any():
             raise InfeasibleError("zf", f"no reachable tap for user {n}")
-        u[:, n, :] = best.filters
-        alpha[n] = best.tap
+        best = int(np.argmax(gamma[cols]))
+        w = P[:, n * bands + best]
+        u[:, n, :] = _unflatten(w / float(np.linalg.norm(w)), M, L)
+        alpha[n] = best + 1
     return u, alpha
-
-
-def zf_candidate(channels, n, alpha_bar):
-    """ZF candidate for MU n of a channel set at 1-based tap alpha_bar."""
-    return zf_candidate_cirs(channels.h0, n, alpha_bar)
-
-
-def zf_gamma(candidate, channels, n):
-    """Re-evaluate a candidate's ranking ratio against the macro channels."""
-    return zf_gamma_cirs(candidate.filters, channels.h0, n, candidate.tap)
 
 
 def zf_select(channels):
@@ -167,11 +106,6 @@ def tr_beamformer_cirs(h):
             raise ValueError(f"all-zero channel for user {j}: TR scale undefined")
         g[:, j, :] = np.conj(h[:, j, ::-1]) / np.sqrt(s)
     return g
-
-
-def tr_beamformer(channels, j):
-    """TR filters (M1, L) for FU j of a channel set."""
-    return tr_beamformer_cirs(channels.h1)[:, j, :]
 
 
 def design_beamformers(channels):

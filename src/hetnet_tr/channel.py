@@ -25,8 +25,6 @@ EXP_MACRO = 4.0
 EXP_FEMTO = 3.0
 EXP_CROSS = 3.5
 
-PERTURB_MODES = ("worst_aligned", "worst_anti_aligned", "uniform_ball")
-
 
 @dataclass(frozen=True)
 class TapProfile:
@@ -118,6 +116,11 @@ class ScenarioConfig:
     def validate(self):
         if min(self.m0, self.m1, self.n0, self.n1, self.taps) < 1:
             raise ConfigError("antenna/user/tap counts must be >= 1")
+        longest = max(get_profile(key).n_taps for key, _ in _LINK_RULES.values())
+        if self.taps < longest:
+            raise ConfigError(
+                f"taps must cover the longest channel profile: got "
+                f"{self.taps} < {longest}")
         if self.m0 * self.taps < (2 * self.taps - 1) * self.n0:
             raise ConfigError(
                 "macro ZF needs M0*L >= (2L-1)*N0; got "
@@ -256,35 +259,6 @@ def draw_channel_set(config, geometry, rng, profiles=None):
     h10 = stack("h10", config.m1, geometry.d_10n)
     h01 = stack("h01", config.m0, geometry.d_01j)
     return ChannelSet(h0=h0, h1=h1, h10=h10, h01=h01)
-
-
-def perturb_cir(h_true, psi, mode, rng=None):
-    """Return (h_est, e) with h_est = h_true + e and ||e||^2 <= psi*||h_true||^2.
-
-    worst_anti_aligned: e = -sqrt(psi)*h (shrinks the estimate).
-    worst_aligned:      e = +sqrt(psi)*h.
-    uniform_ball:       e uniform in the ball of radius sqrt(psi)*||h||.
-    """
-    if not (0.0 <= psi < 1.0):
-        raise ValueError(f"error factor must lie in [0, 1), got {psi}")
-    if mode not in PERTURB_MODES:
-        raise ValueError(f"unknown perturbation mode '{mode}'")
-    h = np.asarray(h_true, dtype=complex)
-    if psi == 0.0:
-        return h.copy(), np.zeros_like(h)
-    root = np.sqrt(psi)
-    if mode == "worst_anti_aligned":
-        e = -root * h
-    elif mode == "worst_aligned":
-        e = root * h
-    else:
-        dim = h.size
-        z = rng.standard_normal((2, dim))
-        direction = z[0] + 1j * z[1]
-        direction /= np.linalg.norm(direction)
-        radius = root * np.linalg.norm(h) * rng.random() ** (1.0 / (2 * dim))
-        e = (radius * direction).reshape(h.shape)
-    return h + e, e
 
 
 def sample_true_given_estimate(h_est, psi, rng, n):

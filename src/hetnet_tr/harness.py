@@ -24,7 +24,6 @@ from .channel import draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .linops import toeplitz_conv_matrix
 from .power import (
-    _response,
     build_femto_lp,
     solve_centralized,
     solve_femto,
@@ -39,6 +38,7 @@ from .robust import (
     worst_signal_lower,
     young_upper,
 )
+from .sinr import couple, coupling_terms, femto_coupling
 
 _DIVERGENCE_WINDOW = 1_000
 
@@ -230,7 +230,9 @@ def _record(trial, point, keys, values, feasible):
 
 def _power_compare_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
+    # neither depends on the SINR targets: every sweep point shares them
     beams = design_beamformers(channels)
+    coupling = couple(channels, beams)
     keys = _VALUE_KEYS["power-compare"]
     rows = []
     for pt in points:
@@ -238,9 +240,10 @@ def _power_compare_trial(trial, cfg, points, extra, seed):
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         try:
             prop = solve_proposed(channels, gm, gf, cfg.p_tol,
-                                  cfg.noise_power)
+                                  cfg.noise_power, beams=beams,
+                                  coupling=coupling)
             cent = solve_centralized(channels, beams, gm, gf,
-                                     cfg.noise_power)
+                                     cfg.noise_power, coupling=coupling)
             rows.append(_record(trial, pt, keys,
                                 (float(prop.total_power),
                                  float(cent.total_power)), True))
@@ -252,14 +255,17 @@ def _power_compare_trial(trial, cfg, points, extra, seed):
 
 def _mu_outage_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
+    beams = design_beamformers(channels)
+    coupling = couple(channels, beams)
     keys = _VALUE_KEYS["mu-outage"]
     rows = []
     for pt in points:
         gm = _db(pt.get("gamma_m_db", cfg.gamma_m_db))
         try:
             prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
-                                  cfg.noise_power)
-            # slack matches the tier iteration's stopping tolerance
+                                  cfg.noise_power, beams=beams,
+                                  coupling=coupling)
+            # slack matches the macro dual's stopping tolerance (x1_tol)
             outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
             rows.append(_record(trial, pt, keys,
                                 (outage, float(prop.total_power)), True))
@@ -268,20 +274,23 @@ def _mu_outage_trial(trial, cfg, points, extra, seed):
     return rows
 
 
-def _focused_sinrs(filters, cirs, taps_sel, powers, floor, noise):
-    """Per-user SINR at chosen taps against a fixed cross-tier floor."""
-    n = cirs.shape[1]
+def _focused_sinrs(terms, powers, floor, noise):
+    """Per-user SINR against a fixed cross-tier floor.
+
+    terms is coupling_terms of the users' own filters and channels,
+    sampled at the chosen taps.
+    """
+    energy, signal = terms
+    n = signal.shape[0]
     out = np.empty(n)
     for j in range(n):
-        r = _response(filters[:, j, :], cirs[:, j, :])
-        main = abs(r[int(taps_sel[j]) - 1]) ** 2
+        main = signal[j]
         sig = powers[j] * main
-        isi = powers[j] * (float(np.sum(np.abs(r) ** 2)) - main)
+        isi = powers[j] * (energy[j, j] - main)
         co = 0.0
         for j2 in range(n):
             if j2 != j:
-                co += powers[j2] * float(np.sum(np.abs(
-                    _response(filters[:, j2, :], cirs[:, j, :])) ** 2))
+                co += powers[j2] * energy[j, j2]
         out[j] = sig / (isi + co + floor + noise)
     return out
 
@@ -290,17 +299,15 @@ def _tr_vs_zf_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
     h1 = channels.h1
     n1 = h1.shape[1]
-    g_tr = tr_beamformer_cirs(h1)
-    taps_tr = [cfg.taps] * n1
+    tr_terms = coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps)
     u_zf, taps_zf = zf_select_cirs(h1, strict=False)
+    zf_terms = coupling_terms(u_zf, h1, taps_zf)
     keys = _VALUE_KEYS["tr-vs-zf"]
     rows = []
     for pt in points:
         powers = np.full(n1, _dbm(pt["p_dbm"]))
-        s_tr = _focused_sinrs(g_tr, h1, taps_tr, powers, cfg.p_tol,
-                              cfg.noise_power)
-        s_zf = _focused_sinrs(u_zf, h1, taps_zf, powers, cfg.p_tol,
-                              cfg.noise_power)
+        s_tr = _focused_sinrs(tr_terms, powers, cfg.p_tol, cfg.noise_power)
+        s_zf = _focused_sinrs(zf_terms, powers, cfg.p_tol, cfg.noise_power)
         # dB per trial so the summary mean is tail-robust (geometric)
         rows.append(_record(trial, pt, keys,
                             (float(10.0 * np.log10(np.mean(s_tr))),
@@ -328,12 +335,16 @@ def _bound_tightness_trial(trial, cfg, points, extra, seed):
     return rows
 
 
-def _robust_designs(channels, g, psi, gamma_f, cfg):
-    """Non-robust and both robust allocations; None marks infeasibility."""
+def _robust_designs(channels, g, coupling, psi, gamma_f, cfg):
+    """Non-robust and both robust allocations; None marks infeasibility.
+
+    coupling is the trial's femto_coupling of g.
+    """
     designs = {}
     try:
         designs["nonrobust"] = solve_femto(
-            build_femto_lp(channels, g, gamma_f, cfg.p_tol, cfg.noise_power))
+            build_femto_lp(channels, g, gamma_f, cfg.p_tol, cfg.noise_power,
+                           coupling))
     except InfeasibleError:
         designs["nonrobust"] = None
     for variant in ("proposed", "young"):
@@ -361,6 +372,7 @@ def _design_row(designs):
 def _fu_outage_trial(trial, cfg, points, extra, seed):
     channels, rng = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
+    femto = femto_coupling(channels, g, channels.taps)
     n1 = channels.h1.shape[1]
     taps = channels.taps
     draws = int(extra["error_draws"])
@@ -387,7 +399,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
                 stats.append((tot, main))
             per_psi[psi] = stats
         stats = per_psi[psi]
-        designs = _robust_designs(channels, g, psi, gf, cfg)
+        designs = _robust_designs(channels, g, femto, psi, gf, cfg)
         outages = []
         for label in ("nonrobust", "proposed", "young"):
             p1 = designs[label]
@@ -414,12 +426,13 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
 def _robust_power_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
+    femto = femto_coupling(channels, g, channels.taps)
     keys = _VALUE_KEYS["robust-power"]
     rows = []
     for pt in points:
         psi = float(pt.get("psi", cfg.psi))
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
-        designs = _robust_designs(channels, g, psi, gf, cfg)
+        designs = _robust_designs(channels, g, femto, psi, gf, cfg)
         powers, flags = _design_row(designs)
         feasible = all(designs[k] is not None
                        for k in ("nonrobust", "proposed", "young"))

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamform import BeamformerSet, tr_beamformer_cirs, zf_select
+from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
 from .linops import spectral_radius
-from .sinr import fu_breakdown, mu_breakdown, sinr
+from .sinr import couple, femto_coupling, macro_coupling, sinr
 
 # trust region for multiplier updates: one step moves mu by at most this factor
 _STEP_CLAMP = 8.0
@@ -91,32 +91,35 @@ class AllocationResult:
     feasible: bool
 
 
-def _response(filters, cirs):
-    return sum(np.convolve(filters[m], cirs[m]) for m in range(filters.shape[0]))
-
-
-def _femto_coefficients(h1, g, beta):
+def _femto_coefficients(coupling):
     """Per-unit-power (signal, isi, co-matrix) coefficients for the femto tier."""
-    N = h1.shape[1]
-    sig = np.zeros(N)
-    isi = np.zeros(N)
-    B = np.zeros((N, N))
-    for j in range(N):
-        r = _response(g[:, j, :], h1[:, j, :])
-        sig[j] = abs(r[beta - 1]) ** 2
-        isi[j] = float(np.sum(np.abs(r) ** 2)) - sig[j]
-        for j2 in range(N):
-            if j2 != j:
-                B[j, j2] = float(
-                    np.sum(np.abs(_response(g[:, j2, :], h1[:, j, :])) ** 2))
+    cols = coupling.femto
+    sig = coupling.signal[cols].copy()
+    B = coupling.energy[coupling.n0:, cols].copy()
+    isi = np.diagonal(B) - sig
+    np.fill_diagonal(B, 0.0)
     return sig, isi, B
 
 
-def build_femto_lp(channels, g, gamma_f, p_tol, noise):
-    """Assemble the femto fixed-point coefficients for TR beams g."""
-    N = channels.h1.shape[1]
+def _femto_leakage(coupling):
+    """Per-unit-power energy each TR beam leaks onto all MUs together."""
+    leak = np.zeros(coupling.n1)
+    for row in coupling.energy[:coupling.n0, coupling.femto]:
+        leak += row
+    return leak
+
+
+def build_femto_lp(channels, g, gamma_f, p_tol, noise, coupling=None):
+    """Assemble the femto fixed-point coefficients for TR beams g.
+
+    coupling, when given, is the realization's coupling of g (alone or
+    with the ZF beams); otherwise it is built from channels and g.
+    """
+    if coupling is None:
+        coupling = femto_coupling(channels, g, channels.taps)
+    N = coupling.n1
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
-    sig, isi, B = _femto_coefficients(channels.h1, g, channels.taps)
+    sig, isi, B = _femto_coefficients(coupling)
     phi = sig - gamma * isi
     if (phi <= 0.0).any():
         bad = int(np.argmin(phi))
@@ -125,11 +128,7 @@ def build_femto_lp(channels, g, gamma_f, p_tol, noise):
             f"SINR target unreachable at any power for user {bad} "
             f"(phi={phi[bad]:.3e})",
         )
-    eta_hat = np.zeros(N)
-    for j in range(N):
-        for n in range(channels.h10.shape[1]):
-            eta_hat[j] += float(
-                np.sum(np.abs(_response(g[:, j, :], channels.h10[:, n, :])) ** 2))
+    eta_hat = _femto_leakage(coupling)
     nrm = float(np.linalg.norm(eta_hat))
     eta = eta_hat / nrm if nrm > 0.0 else eta_hat.copy()
     d = gamma / phi
@@ -157,65 +156,50 @@ def solve_femto(lp):
     return _solve_interference_lp(lp.d_diag, lp.b_matrix, lp.z)
 
 
-def weight_factored_powers(lp):
-    """Normalized-weight closed form; equals solve_femto / eta entrywise.
-
-    Written with the weight diagonal factored through the Hadamard
-    product; kept as an independent cross-check path. Requires strictly
-    positive weights.
-    """
-    if (lp.eta <= 0.0).any():
-        raise ValueError("weight form needs strictly positive weights")
-    E = np.diag(lp.eta)
-    had = lp.b_matrix * (1.0 / lp.eta)[:, None]
-    M = E @ np.diag(lp.d_diag) @ had
-    inner = np.linalg.solve(np.eye(lp.z.shape[0]) - M, lp.d_diag * lp.z)
-    return np.linalg.solve(E, inner)
-
-
-def cross_report(channels, g, p1):
+def cross_report(channels, g, p1, coupling=None):
     """Cross-tier interference each MU receives from the femto allocation.
 
-    These N0 scalars are the only femto-side quantities the macro tier sees.
+    These N0 scalars are the only femto-side quantities the macro tier
+    sees. coupling is as in build_femto_lp.
     """
-    N0 = channels.h10.shape[1]
-    out = np.zeros(N0)
-    for n in range(N0):
-        for j in range(g.shape[1]):
-            out[n] += p1[j] * float(
-                np.sum(np.abs(_response(g[:, j, :], channels.h10[:, n, :])) ** 2))
+    if coupling is None:
+        coupling = femto_coupling(channels, g, channels.taps)
+    out = np.zeros(coupling.n0)
+    energy = coupling.energy[:coupling.n0, coupling.femto]
+    for j in range(coupling.n1):
+        out += p1[j] * energy[:, j]
     return out
 
 
-def macro_coefficients(channels, u, alpha, cross_star, noise):
+def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
     """(delta, nabla, caps) for the macro dual, normalized by main-tap power.
 
     delta collects own-ISI plus leakage onto the other MUs' channels (the
     uplink-dual co-tier term); nabla carries the reported cross power plus
     noise; caps[n, j] is the per-unit-power interference each MU's beam
-    inflicts on FU j.
+    inflicts on FU j. Own-ISI is clamped at zero: for an exact ZF beam it
+    is zero, and rounding can leave it a few ulp below. coupling, when
+    given, is the realization's coupling of u (alone or with the TR
+    beams); otherwise it is built from channels, u and alpha.
     """
-    M, N0, L = channels.h0.shape
-    N1 = channels.h01.shape[1]
+    if coupling is None:
+        coupling = macro_coupling(channels, u, alpha)
+    N0 = coupling.n0
+    energy = coupling.energy[:, coupling.macro]
     delta = np.zeros(N0)
     nabla = np.zeros(N0)
-    caps = np.zeros((N0, N1))
     for n in range(N0):
-        r = _response(u[:, n, :], channels.h0[:, n, :])
-        s = abs(r[int(alpha[n]) - 1]) ** 2
+        s = coupling.signal[n]
         if s == 0.0:
             raise InfeasibleError("macro", f"zero main tap for user {n}")
-        own_isi = float(np.sum(np.abs(r) ** 2)) - s
+        own_isi = max(energy[n, n] - s, 0.0)
         leak = 0.0
         for n2 in range(N0):
             if n2 != n:
-                leak += float(
-                    np.sum(np.abs(_response(u[:, n, :], channels.h0[:, n2, :])) ** 2))
+                leak += energy[n2, n]
         delta[n] = (own_isi + leak) / s
         nabla[n] = (cross_star[n] + noise) / s
-        for j in range(N1):
-            caps[n, j] = float(
-                np.sum(np.abs(_response(u[:, n, :], channels.h01[:, j, :])) ** 2))
+    caps = energy[N0:].T.copy()
     return delta, nabla, caps
 
 
@@ -320,13 +304,15 @@ def macro_dual_solve(delta, nabla, gamma, caps_i, p_tol, schedule=None):
 
 
 def solve_macro(channels, u, alpha, gamma_m, p_tol, cross_star, noise,
-                schedule=None):
+                schedule=None, coupling=None):
     """Macro powers for fixed ZF beams and a femto cross report.
 
     Raises InfeasibleError naming the violated cap (or the unreachable SINR
     target) before iterating; the error detail carries the capped power.
+    coupling is as in macro_coefficients.
     """
-    delta, nabla, caps = macro_coefficients(channels, u, alpha, cross_star, noise)
+    delta, nabla, caps = macro_coefficients(channels, u, alpha, cross_star,
+                                            noise, coupling)
     gamma = np.broadcast_to(np.asarray(gamma_m, dtype=float), delta.shape)
     p, dual, feasible = macro_dual_solve(delta, nabla, gamma, caps, p_tol,
                                          schedule)
@@ -349,40 +335,20 @@ def solve_macro(channels, u, alpha, gamma_m, p_tol, cross_star, noise,
     return p, dual
 
 
-def _centralized_system(channels, beams, gamma_m, gamma_f, noise):
-    """Stacked (I - F) p = v coefficients over MUs then FUs."""
-    N0 = channels.h0.shape[1]
-    N1 = channels.h1.shape[1]
-    R = N0 + N1
+def _centralized_system(coupling, gamma_m, gamma_f, noise):
+    """Stacked (I - F) p = v coefficients over MUs then FUs.
+
+    coupling must hold every beam (sinr.couple).
+    """
+    N0, N1 = coupling.n0, coupling.n1
     gam = np.concatenate([
         np.broadcast_to(np.asarray(gamma_m, dtype=float), (N0,)),
         np.broadcast_to(np.asarray(gamma_f, dtype=float), (N1,)),
     ])
-    sig = np.zeros(R)
-    own_isi = np.zeros(R)
-    coup = np.zeros((R, R))
-    for n in range(N0):
-        r = _response(beams.u[:, n, :], channels.h0[:, n, :])
-        sig[n] = abs(r[int(beams.alpha[n]) - 1]) ** 2
-        own_isi[n] = float(np.sum(np.abs(r) ** 2)) - sig[n]
-        for n2 in range(N0):
-            if n2 != n:
-                coup[n, n2] = float(np.sum(np.abs(
-                    _response(beams.u[:, n2, :], channels.h0[:, n, :])) ** 2))
-        for j in range(N1):
-            coup[n, N0 + j] = float(np.sum(np.abs(
-                _response(beams.g[:, j, :], channels.h10[:, n, :])) ** 2))
-    for j in range(N1):
-        r = _response(beams.g[:, j, :], channels.h1[:, j, :])
-        sig[N0 + j] = abs(r[beams.beta - 1]) ** 2
-        own_isi[N0 + j] = float(np.sum(np.abs(r) ** 2)) - sig[N0 + j]
-        for j2 in range(N1):
-            if j2 != j:
-                coup[N0 + j, N0 + j2] = float(np.sum(np.abs(
-                    _response(beams.g[:, j2, :], channels.h1[:, j, :])) ** 2))
-        for n in range(N0):
-            coup[N0 + j, n] = float(np.sum(np.abs(
-                _response(beams.u[:, n, :], channels.h01[:, j, :])) ** 2))
+    sig = coupling.signal
+    coup = coupling.energy.copy()
+    own_isi = np.diagonal(coup) - sig
+    np.fill_diagonal(coup, 0.0)
     phi = sig - gam * own_isi
     if (phi <= 0.0).any():
         bad = int(np.argmin(phi))
@@ -393,50 +359,61 @@ def _centralized_system(channels, beams, gamma_m, gamma_f, noise):
     return F, v
 
 
-def solve_centralized(channels, beams, gamma_m, gamma_f, noise):
-    """Joint minimal-power allocation with every SINR constraint stacked."""
-    N0 = channels.h0.shape[1]
-    F, v = _centralized_system(channels, beams, gamma_m, gamma_f, noise)
+def _sinrs(coupling, p0, p1, noise, cross_override=None):
+    """Per-user SINRs (MUs, FUs) under the given powers."""
+    sinr_mu = np.array([sinr(coupling.breakdown(n, p0, p1, noise))
+                        for n in range(coupling.n0)])
+    sinr_fu = np.array([
+        sinr(coupling.breakdown(coupling.n0 + j, p0, p1, noise,
+                                cross_override))
+        for j in range(coupling.n1)])
+    return sinr_mu, sinr_fu
+
+
+def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
+                      coupling=None):
+    """Joint minimal-power allocation with every SINR constraint stacked.
+
+    coupling, when given, is the full coupling of beams.
+    """
+    if coupling is None:
+        coupling = couple(channels, beams)
+    N0 = coupling.n0
+    F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
     rho = spectral_radius(F)
     if rho >= 1.0:
         raise InfeasibleError(
             "centralized", f"coupling spectral radius {rho:.6f} >= 1")
     p = _solve_interference_lp(np.ones_like(v), F, v)
     p0, p1 = p[:N0], p[N0:]
-    sinr_mu = np.array([
-        sinr(mu_breakdown(channels, beams, p0, p1, n, noise_power=noise))
-        for n in range(N0)])
-    sinr_fu = np.array([
-        sinr(fu_breakdown(channels, beams, p0, p1, j, noise_power=noise))
-        for j in range(p1.shape[0])])
+    sinr_mu, sinr_fu = _sinrs(coupling, p0, p1, noise)
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu,
-        cross_report=cross_report(channels, beams.g, p1), iterations=0,
-        total_power=float(p.sum()), feasible=True)
+        cross_report=cross_report(channels, beams.g, p1, coupling),
+        iterations=0, total_power=float(p.sum()), feasible=True)
 
 
-def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, schedule=None):
+def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, schedule=None,
+                   beams=None, coupling=None):
     """Two-step allocation: femto solves and reports, then macro solves.
 
     The femto tier fixes TR beams and its own powers against the tolerated
     cross level, sends the N0 resulting interference scalars, and the macro
-    tier runs its dual iteration against that report.
+    tier runs its dual iteration against that report. beams and their full
+    coupling do not depend on the SINR targets, so a caller solving many
+    targets on one realization builds them once and passes them in;
+    without them they are designed from channels.
     """
-    g = tr_beamformer_cirs(channels.h1)
-    lp = build_femto_lp(channels, g, gamma_f, p_tol, noise)
+    if beams is None:
+        beams = design_beamformers(channels)
+    if coupling is None:
+        coupling = couple(channels, beams)
+    lp = build_femto_lp(channels, beams.g, gamma_f, p_tol, noise, coupling)
     p1 = solve_femto(lp)
-    cross = cross_report(channels, g, p1)
-    u, alpha = zf_select(channels)
-    p0, dual = solve_macro(channels, u, alpha, gamma_m, p_tol, cross, noise,
-                           schedule)
-    beams = BeamformerSet(u=u, alpha=alpha, g=g, beta=channels.taps)
-    sinr_mu = np.array([
-        sinr(mu_breakdown(channels, beams, p0, p1, n, noise_power=noise))
-        for n in range(p0.shape[0])])
-    sinr_fu = np.array([
-        sinr(fu_breakdown(channels, beams, None, p1, j, noise_power=noise,
-                          cross_override=p_tol))
-        for j in range(p1.shape[0])])
+    cross = cross_report(channels, beams.g, p1, coupling)
+    p0, dual = solve_macro(channels, beams.u, beams.alpha, gamma_m, p_tol,
+                           cross, noise, schedule, coupling)
+    sinr_mu, sinr_fu = _sinrs(coupling, p0, p1, noise, cross_override=p_tol)
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu, cross_report=cross,
         iterations=dual.iterations,

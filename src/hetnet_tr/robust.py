@@ -24,7 +24,8 @@ import numpy as np
 from .channel import sample_true_given_estimate
 from .errors import InfeasibleError
 from .linops import dominant_eigpair, spectral_radius, toeplitz_conv_matrix
-from .power import _femto_coefficients, _response, _solve_interference_lp
+from .power import _femto_coefficients, _femto_leakage, _solve_interference_lp
+from .sinr import femto_coupling
 
 # below this fraction of ||h_hat|| the estimate carries no usable phase
 # reference and the extremal direction keeps a largest-entry phase instead
@@ -191,12 +192,9 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
         young_upper(g_hat[:, j, :], h1[:, j, :], psi) for j in range(n1)
     ])
     if psi == 0.0:
-        pl, pu_isi, pu_co = _femto_coefficients(h1, g_hat, channels_est.taps)
-        omega = np.zeros(n1)
-        for j in range(n1):
-            for n in range(n0):
-                omega[j] += float(
-                    np.sum(np.abs(_response(g_hat[:, j, :], h10[:, n, :])) ** 2))
+        coupling = femto_coupling(channels_est, g_hat, channels_est.taps)
+        pl, pu_isi, pu_co = _femto_coefficients(coupling)
+        omega = _femto_leakage(coupling)
         return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
                             pu_co_coeff=pu_co, omega_coeff=omega,
                             young_norm=young, psi=psi, variant=variant)

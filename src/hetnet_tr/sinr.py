@@ -5,6 +5,10 @@ the tap selected by the ZF sweep, FUs the central tap. Powers of distinct
 users add incoherently (independent unit-power symbols), so every
 interference term is a sum of per-user transmit power times a squared
 response norm.
+
+All of those norms, and each user's power at its sampling tap, come from
+one Coupling per realization: the combined response of every beam at
+every victim, reduced once to a response energy and a sampled power.
 """
 
 from dataclasses import dataclass
@@ -26,39 +30,124 @@ class PowerBreakdown:
     noise: float
 
 
-def _response(filters, cirs):
-    """Combined response sum_m filters[m] * cirs[m], length 2L-1."""
-    return sum(np.convolve(filters[m], cirs[m]) for m in range(filters.shape[0]))
+def coupling_terms(filters, cirs, taps, first=0):
+    """Per-unit-power coupling of K beams with V victims.
+
+    filters (M, K, L) and cirs (M, V, L) share the M transmit antennas.
+    Returns (energy (V, K), signal (K,)): energy[v, k] sums |r|^2 over all
+    2L-1 taps of beam k's combined response r = sum_m filters[m, k] *
+    cirs[m, v], and signal[k] is |r[taps[k] - 1]|^2 at beam k's own
+    victim, first + k.
+    """
+    M, K, L = filters.shape
+    bands = 2 * L - 1
+    taps = np.broadcast_to(np.asarray(taps, dtype=int), (K,))
+    if ((taps < 1) | (taps > bands)).any():
+        raise ValueError(f"selected taps {taps.tolist()} outside 1..{bands}")
+    energy = np.empty((cirs.shape[1], K))
+    signal = np.empty(K)
+    for k in range(K):
+        for v in range(cirs.shape[1]):
+            r = sum(np.convolve(filters[m, k], cirs[m, v]) for m in range(M))
+            energy[v, k] = np.sum(np.abs(r) ** 2)
+            if v == first + k:
+                signal[k] = abs(r[taps[k] - 1]) ** 2
+    return energy, signal
 
 
-def _own_terms(filters, cirs, p, tap):
-    r = _response(filters, cirs)
-    main = p * abs(r[tap - 1]) ** 2
-    total = p * float(np.sum(np.abs(r) ** 2))
-    return main, total - main
+@dataclass(frozen=True)
+class Coupling:
+    """Per-unit-power coupling of one realization's beams with its victims.
+
+    Victims (rows) are the N0 MUs then the N1 FUs. Beams (columns) serve
+    victims first, first+1, ...: all R = N0 + N1 beams (first = 0), the
+    N0 ZF beams alone (first = 0) or the N1 TR beams alone (first = N0).
+    energy[v, k] is beam k's response energy at victim v; signal[k] is
+    beam k's power at its own victim's sampling tap.
+    """
+
+    n0: int
+    first: int
+    energy: np.ndarray
+    signal: np.ndarray
+
+    @property
+    def n1(self):
+        return self.energy.shape[0] - self.n0
+
+    @property
+    def macro(self):
+        """Columns of the ZF beams."""
+        if self.first != 0:
+            raise ValueError("coupling holds no ZF beams")
+        return slice(0, self.n0)
+
+    @property
+    def femto(self):
+        """Columns of the TR beams."""
+        start = self.n0 - self.first
+        if start + self.n1 > self.energy.shape[1]:
+            raise ValueError("coupling holds no TR beams")
+        return slice(start, start + self.n1)
+
+    def breakdown(self, v, p0, p1, noise_power, cross_override=None):
+        """Power components at victim v (MUs then FUs) of a full coupling.
+
+        p0 and p1 are the macro and femto powers; cross_override replaces
+        the other tier's term, and p0 may then be None at an FU.
+        """
+        mu = v < self.n0
+        own, own_p = (self.macro, p0) if mu else (self.femto, p1)
+        other, other_p = (self.femto, p1) if mu else (self.macro, p0)
+        k = v - own.start
+        main = own_p[k] * self.signal[v]
+        isi = own_p[k] * self.energy[v, v] - main
+        co = self._tier_sum(v, own, own_p, skip=v)
+        if cross_override is not None:
+            cross = float(cross_override)
+        else:
+            cross = self._tier_sum(v, other, other_p)
+        return PowerBreakdown(sig=main, isi=isi, co=co, cross=cross,
+                              noise=noise_power)
+
+    def _tier_sum(self, v, cols, powers, skip=None):
+        """Sum over one tier's beams of power times energy at victim v."""
+        total = 0.0
+        for k in range(cols.start, cols.stop):
+            if k != skip:
+                total += powers[k - cols.start] * self.energy[v, k]
+        return total
 
 
-def _tier_interference(filters_all, cirs_to_victim, powers, skip=None):
-    """Sum over transmitters of power times full response energy at the victim."""
-    total = 0.0
-    for k in range(filters_all.shape[1]):
-        if k == skip:
-            continue
-        r = _response(filters_all[:, k, :], cirs_to_victim)
-        total += powers[k] * float(np.sum(np.abs(r) ** 2))
-    return total
+def macro_coupling(channels, u, alpha):
+    """Coupling of the ZF beams alone."""
+    energy, signal = coupling_terms(
+        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha)
+    return Coupling(n0=channels.h0.shape[1], first=0, energy=energy,
+                    signal=signal)
+
+
+def femto_coupling(channels, g, beta):
+    """Coupling of the TR beams alone, all sampled at tap beta."""
+    n0 = channels.h10.shape[1]
+    energy, signal = coupling_terms(
+        g, np.concatenate([channels.h10, channels.h1], axis=1), beta,
+        first=n0)
+    return Coupling(n0=n0, first=n0, energy=energy, signal=signal)
+
+
+def couple(channels, beams):
+    """Every beam of a BeamformerSet against every victim."""
+    macro = macro_coupling(channels, beams.u, beams.alpha)
+    femto = femto_coupling(channels, beams.g, beams.beta)
+    return Coupling(n0=macro.n0, first=0,
+                    energy=np.hstack([macro.energy, femto.energy]),
+                    signal=np.concatenate([macro.signal, femto.signal]))
 
 
 def mu_breakdown(channels, beams, p0, p1, n, noise_power=DEFAULT_NOISE):
     """Power components at MU n sampled at its selected tap."""
-    tap = int(beams.alpha[n])
-    bands = 2 * channels.taps - 1
-    if not 1 <= tap <= bands:
-        raise ValueError(f"selected tap {tap} outside 1..{bands}")
-    sig, isi = _own_terms(beams.u[:, n, :], channels.h0[:, n, :], p0[n], tap)
-    co = _tier_interference(beams.u, channels.h0[:, n, :], p0, skip=n)
-    cross = _tier_interference(beams.g, channels.h10[:, n, :], p1)
-    return PowerBreakdown(sig=sig, isi=isi, co=co, cross=cross, noise=noise_power)
+    return couple(channels, beams).breakdown(n, p0, p1, noise_power)
 
 
 def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
@@ -69,19 +158,10 @@ def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
     it with the tolerated cap, since actual macro powers are unknown when
     the femto tier commits its allocation.
     """
-    tap = int(beams.beta)
-    bands = 2 * channels.taps - 1
-    if not 1 <= tap <= bands:
-        raise ValueError(f"selected tap {tap} outside 1..{bands}")
-    sig, isi = _own_terms(beams.g[:, j, :], channels.h1[:, j, :], p1[j], tap)
-    co = _tier_interference(beams.g, channels.h1[:, j, :], p1, skip=j)
-    if cross_override is not None:
-        cross = float(cross_override)
-    else:
-        if p0 is None:
-            raise ValueError("need macro powers or an explicit cross override")
-        cross = _tier_interference(beams.u, channels.h01[:, j, :], p0)
-    return PowerBreakdown(sig=sig, isi=isi, co=co, cross=cross, noise=noise_power)
+    if cross_override is None and p0 is None:
+        raise ValueError("need macro powers or an explicit cross override")
+    return couple(channels, beams).breakdown(
+        channels.h0.shape[1] + j, p0, p1, noise_power, cross_override)
 
 
 def sinr(b):

@@ -25,7 +25,6 @@ from hetnet_tr.harness import (
 )
 from hetnet_tr.power import (
     build_femto_lp,
-    weight_factored_powers,
     macro_dual_solve,
     solve_centralized,
     solve_femto,
@@ -38,6 +37,10 @@ from hetnet_tr.robust import (
     young_upper,
 )
 from hetnet_tr.sinr import fu_breakdown, sinr
+
+from oracles import weight_factored_powers
+
+pytestmark = pytest.mark.acceptance
 
 
 def emit(capsys, ok, label, detail):

@@ -5,11 +5,7 @@ import pytest
 
 from hetnet_tr.beamform import (
     design_beamformers,
-    tr_beamformer,
     tr_beamformer_cirs,
-    zf_candidate,
-    zf_candidate_cirs,
-    zf_gamma,
     zf_select,
     zf_select_cirs,
 )
@@ -18,6 +14,13 @@ from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.linops import sylvester_matrix
 
 from helpers import crandn, random_scenario
+from oracles import (
+    tr_beamformer,
+    zf_candidate,
+    zf_gamma,
+    zf_gamma_cirs,
+    zf_select_loop,
+)
 
 
 def channelset_from_h0(h0):
@@ -95,7 +98,6 @@ class TestZfGamma:
         assert got == pytest.approx(main / denom, rel=1e-12)
 
     def test_zero_filters_give_zero(self):
-        from hetnet_tr.beamform import zf_gamma_cirs
         _, _, ch = random_scenario(107)
         assert zf_gamma_cirs(np.zeros((4, 6), dtype=complex), ch.h0, 0, 3) == 0.0
 
@@ -149,6 +151,39 @@ class TestZfSelect:
         for n in range(4):
             assert np.linalg.norm(u[:, n, :]) == pytest.approx(1.0, rel=1e-12)
             assert 1 <= alpha[n] <= 11
+
+
+class TestZfSelectMatchesLoop:
+    """The selector reads every candidate off one H @ pinv(H); the
+    per-candidate loop rebuilds and convolves each one. Same taps, same
+    filter bits."""
+
+    DRAWS = 200
+
+    def test_strict_on_macro_links(self):
+        for seed in range(self.DRAWS):
+            _, _, ch = random_scenario(1000 + seed)
+            u, alpha = zf_select_cirs(ch.h0, strict=True)
+            u_ref, alpha_ref = zf_select_loop(ch.h0, strict=True)
+            assert np.array_equal(alpha, alpha_ref), seed
+            assert np.array_equal(u, u_ref), seed
+
+    def test_relaxed_on_femto_links(self):
+        for seed in range(self.DRAWS):
+            _, _, ch = random_scenario(1000 + seed)
+            u, alpha = zf_select_cirs(ch.h1, strict=False)
+            u_ref, alpha_ref = zf_select_loop(ch.h1, strict=False)
+            assert np.array_equal(alpha, alpha_ref), seed
+            assert np.array_equal(u, u_ref), seed
+
+    def test_relaxed_on_wide_system(self):
+        rng = np.random.default_rng(116)
+        for _ in range(20):
+            h = crandn(rng, 4, 4, 6)
+            u, alpha = zf_select_cirs(h, strict=False)
+            u_ref, alpha_ref = zf_select_loop(h, strict=False)
+            assert np.array_equal(alpha, alpha_ref)
+            assert np.array_equal(u, u_ref)
 
 
 class TestTimeReversal:

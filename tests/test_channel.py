@@ -11,11 +11,12 @@ from hetnet_tr.channel import (
     draw_channel_set,
     draw_cir,
     get_profile,
-    perturb_cir,
     place_nodes,
     sample_true_given_estimate,
 )
 from hetnet_tr.errors import ConfigError
+
+from oracles import perturb_cir
 
 
 class TestProfileCatalog:
@@ -56,6 +57,12 @@ class TestScenarioConfig:
     def test_noise_must_be_positive(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(noise_power=0.0).validate()
+
+    def test_taps_must_cover_longest_profile(self):
+        # the Vehicular and Indoor Office profiles have 6 taps
+        with pytest.raises(ConfigError, match="longest channel profile"):
+            ScenarioConfig(taps=5, m0=8).validate()
+        assert ScenarioConfig(taps=6).validate().taps == 6
 
 
 class TestPlaceNodes:

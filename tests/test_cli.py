@@ -43,6 +43,15 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_taps_below_profile_length_exits_2(self, tmp_path, capsys):
+        short = tmp_path / "short.ini"
+        short.write_text("[scenario]\ntaps = 4\n", encoding="utf-8")
+        assert main(["validate", "--config", str(short)]) == 2
+        assert main(["run", "--experiment", "power-compare",
+                     "--config", str(short),
+                     "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
+        assert "longest channel profile" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2
 

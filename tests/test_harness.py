@@ -228,6 +228,29 @@ class TestRunExperiment:
         run_experiment(spec, cfg)
         assert (tmp_path / "out.csv").read_bytes() == serial
 
+    def test_power_compare_worker_count_does_not_change_bytes(
+            self, tmp_path, monkeypatch):
+        """Beams and coupling built once per trial stay per-trial objects."""
+        cfg = ScenarioConfig()
+        spec = spec_for("power-compare", tmp_path, trials=4, seed=12345)
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        run_experiment(spec, cfg)
+        serial = (tmp_path / "out.csv").read_bytes()
+        monkeypatch.setenv("HETNET_TR_THREADS", "2")
+        run_experiment(spec, cfg)
+        assert (tmp_path / "out.csv").read_bytes() == serial
+
+    def test_exact_zf_own_isi_rounding_does_not_abort(self, tmp_path):
+        """Seed 645, trial 0: exact ZF beams leave own-ISI a few ulp below 0.
+
+        The macro coefficients clamp it at zero instead of handing the dual
+        a negative delta, so the whole default grid completes.
+        """
+        cfg = ScenarioConfig()
+        spec = spec_for("power-compare", tmp_path, trials=1, seed=645)
+        rows = run_experiment(spec, cfg)
+        assert len(rows) == len(spec.sweep_points()) == 27
+
     def test_summary_recomputes_from_trial_rows(self, tmp_path):
         cfg = ScenarioConfig()
         spec = spec_for("power-compare", tmp_path, trials=6,

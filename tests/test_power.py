@@ -16,7 +16,6 @@ from hetnet_tr.power import (
     SubgradientSchedule,
     build_femto_lp,
     cross_report,
-    weight_factored_powers,
     macro_coefficients,
     macro_dual_solve,
     solve_centralized,
@@ -25,6 +24,8 @@ from hetnet_tr.power import (
     solve_proposed,
 )
 from hetnet_tr.sinr import fu_breakdown, mu_breakdown, sinr
+
+from oracles import weight_factored_powers
 
 
 def single_user_channels():
@@ -337,10 +338,11 @@ class TestSolveCentralized:
 
     def test_matches_fixed_point_oracle(self):
         from hetnet_tr.power import _centralized_system
+        from hetnet_tr.sinr import couple
 
         cfg, geo, ch, beams = designed_scenario(seed=82)
-        F, v = _centralized_system(ch, beams, cfg.gamma_m, cfg.gamma_f,
-                                   cfg.noise_power)
+        F, v = _centralized_system(couple(ch, beams), cfg.gamma_m,
+                                   cfg.gamma_f, cfg.noise_power)
         res = solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
                                 cfg.noise_power)
         np.testing.assert_allclose(np.concatenate([res.p0, res.p1]),
@@ -411,3 +413,59 @@ class TestSolveProposed:
                            cfg.noise_power)
         np.testing.assert_array_equal(a.p0, b.p0)
         np.testing.assert_array_equal(a.p1, b.p1)
+
+
+class TestSharedTrialLinks:
+    """The harness builds beams and coupling once per trial; reusing them
+    across sweep points must give the standalone solve, bit for bit."""
+
+    POINTS = [(g_m, g_f) for g_m in (-3.0, 1.0) for g_f in (-4.0, 0.0, 4.0)]
+
+    def test_proposed_and_centralized_match_standalone(self):
+        from hetnet_tr.sinr import couple
+
+        solved = 0
+        for seed in range(300, 312):
+            cfg, geo, ch, beams = designed_scenario(seed)
+            coupling = couple(ch, beams)
+            for g_m, g_f in self.POINTS:
+                gm, gf = 10 ** (g_m / 10), 10 ** (g_f / 10)
+                try:
+                    alone = solve_proposed(ch, gm, gf, cfg.p_tol,
+                                           cfg.noise_power)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        solve_proposed(ch, gm, gf, cfg.p_tol,
+                                       cfg.noise_power, beams=beams,
+                                       coupling=coupling)
+                    continue
+                shared = solve_proposed(ch, gm, gf, cfg.p_tol,
+                                        cfg.noise_power, beams=beams,
+                                        coupling=coupling)
+                for name in ("p0", "p1", "sinr_mu", "sinr_fu",
+                             "cross_report"):
+                    assert np.array_equal(getattr(shared, name),
+                                          getattr(alone, name)), name
+                assert shared.total_power == alone.total_power
+                assert shared.iterations == alone.iterations
+                cent = solve_centralized(ch, beams, gm, gf, cfg.noise_power)
+                cent_shared = solve_centralized(ch, beams, gm, gf,
+                                                cfg.noise_power,
+                                                coupling=coupling)
+                assert np.array_equal(cent.p0, cent_shared.p0)
+                assert np.array_equal(cent.p1, cent_shared.p1)
+                solved += 1
+        assert solved >= 20
+
+    def test_partial_coupling_refuses_the_other_tier(self):
+        from hetnet_tr.sinr import femto_coupling, macro_coupling
+
+        cfg, geo, ch, beams = designed_scenario(seed=95)
+        femto = femto_coupling(ch, beams.g, beams.beta)
+        macro = macro_coupling(ch, beams.u, beams.alpha)
+        with pytest.raises(ValueError):
+            macro_coefficients(ch, beams.u, beams.alpha, np.zeros(2),
+                               cfg.noise_power, femto)
+        with pytest.raises(ValueError):
+            build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
+                           cfg.noise_power, macro)

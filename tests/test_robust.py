@@ -219,10 +219,12 @@ class TestAssembleBounds:
     def test_zero_error_collapses_to_estimate_coefficients(self):
         """psi=0 reuses the exact-CSI coefficient routine verbatim."""
         from hetnet_tr.power import _femto_coefficients
+        from hetnet_tr.sinr import femto_coupling
 
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
         b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
-        sig, isi, co = _femto_coefficients(ch.h1, beams.g, ch.taps)
+        sig, isi, co = _femto_coefficients(
+            femto_coupling(ch, beams.g, ch.taps))
         assert np.array_equal(b.pl_sig_coeff, sig)
         assert np.array_equal(b.pu_isi_coeff, isi)
         assert np.array_equal(b.pu_co_coeff, co)
