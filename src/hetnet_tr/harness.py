@@ -228,21 +228,33 @@ def _record(trial, point, keys, values, feasible):
                        values=tuple(zip(keys, values)), feasible=feasible)
 
 
+def _trial_coupling(channels):
+    """Beams and their full coupling, shared by every sweep point of a trial.
+
+    Neither depends on the SINR targets. None when the ZF design has no
+    reachable tap for some MU: every point of the trial is then infeasible.
+    """
+    try:
+        return couple(channels, design_beamformers(channels))
+    except InfeasibleError:
+        return None
+
+
 def _power_compare_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
-    # neither depends on the SINR targets: every sweep point shares them
-    beams = design_beamformers(channels)
-    coupling = couple(channels, beams)
+    coupling = _trial_coupling(channels)
     keys = _VALUE_KEYS["power-compare"]
+    if coupling is None:
+        return [_record(trial, pt, keys, (float("nan"), float("nan")), False)
+                for pt in points]
     rows = []
     for pt in points:
         gm = _db(pt.get("gamma_m_db", cfg.gamma_m_db))
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         try:
             prop = solve_proposed(channels, gm, gf, cfg.p_tol,
-                                  cfg.noise_power, beams=beams,
-                                  coupling=coupling)
-            cent = solve_centralized(channels, beams, gm, gf,
+                                  cfg.noise_power, coupling=coupling)
+            cent = solve_centralized(channels, coupling.beams, gm, gf,
                                      cfg.noise_power, coupling=coupling)
             rows.append(_record(trial, pt, keys,
                                 (float(prop.total_power),
@@ -255,16 +267,17 @@ def _power_compare_trial(trial, cfg, points, extra, seed):
 
 def _mu_outage_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
-    beams = design_beamformers(channels)
-    coupling = couple(channels, beams)
+    coupling = _trial_coupling(channels)
     keys = _VALUE_KEYS["mu-outage"]
+    if coupling is None:
+        return [_record(trial, pt, keys, (1.0, float("nan")), False)
+                for pt in points]
     rows = []
     for pt in points:
         gm = _db(pt.get("gamma_m_db", cfg.gamma_m_db))
         try:
             prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
-                                  cfg.noise_power, beams=beams,
-                                  coupling=coupling)
+                                  cfg.noise_power, coupling=coupling)
             # slack matches the macro dual's stopping tolerance (x1_tol)
             outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
             rows.append(_record(trial, pt, keys,
@@ -335,11 +348,12 @@ def _bound_tightness_trial(trial, cfg, points, extra, seed):
     return rows
 
 
-def _robust_designs(channels, g, coupling, psi, gamma_f, cfg):
+def _robust_designs(channels, coupling, psi, gamma_f, cfg):
     """Non-robust and both robust allocations; None marks infeasibility.
 
-    coupling is the trial's femto_coupling of g.
+    coupling is the trial's femto_coupling of its TR beams.
     """
+    g = coupling.beams.g
     designs = {}
     try:
         designs["nonrobust"] = solve_femto(
@@ -399,7 +413,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
                 stats.append((tot, main))
             per_psi[psi] = stats
         stats = per_psi[psi]
-        designs = _robust_designs(channels, g, femto, psi, gf, cfg)
+        designs = _robust_designs(channels, femto, psi, gf, cfg)
         outages = []
         for label in ("nonrobust", "proposed", "young"):
             p1 = designs[label]
@@ -432,7 +446,7 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
     for pt in points:
         psi = float(pt.get("psi", cfg.psi))
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
-        designs = _robust_designs(channels, g, femto, psi, gf, cfg)
+        designs = _robust_designs(channels, femto, psi, gf, cfg)
         powers, flags = _design_row(designs)
         feasible = all(designs[k] is not None
                        for k in ("nonrobust", "proposed", "young"))

@@ -112,11 +112,13 @@ def _femto_leakage(coupling):
 def build_femto_lp(channels, g, gamma_f, p_tol, noise, coupling=None):
     """Assemble the femto fixed-point coefficients for TR beams g.
 
-    coupling, when given, is the realization's coupling of g (alone or
-    with the ZF beams); otherwise it is built from channels and g.
+    coupling, when given, must have been built from g (alone or with the
+    ZF beams; see Coupling.require); otherwise it is built from channels
+    and g.
     """
     if coupling is None:
         coupling = femto_coupling(channels, g, channels.taps)
+    coupling.require(g=g)
     N = coupling.n1
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
     sig, isi, B = _femto_coefficients(coupling)
@@ -164,6 +166,7 @@ def cross_report(channels, g, p1, coupling=None):
     """
     if coupling is None:
         coupling = femto_coupling(channels, g, channels.taps)
+    coupling.require(g=g)
     out = np.zeros(coupling.n0)
     energy = coupling.energy[:coupling.n0, coupling.femto]
     for j in range(coupling.n1):
@@ -179,11 +182,12 @@ def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
     noise; caps[n, j] is the per-unit-power interference each MU's beam
     inflicts on FU j. Own-ISI is clamped at zero: for an exact ZF beam it
     is zero, and rounding can leave it a few ulp below. coupling, when
-    given, is the realization's coupling of u (alone or with the TR
-    beams); otherwise it is built from channels, u and alpha.
+    given, must have been built from u and alpha (alone or with the TR
+    beams); otherwise it is built from them.
     """
     if coupling is None:
         coupling = macro_coupling(channels, u, alpha)
+    coupling.require(u=u, alpha=alpha)
     N0 = coupling.n0
     energy = coupling.energy[:, coupling.macro]
     delta = np.zeros(N0)
@@ -374,10 +378,12 @@ def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
                       coupling=None):
     """Joint minimal-power allocation with every SINR constraint stacked.
 
-    coupling, when given, is the full coupling of beams.
+    coupling, when given, must be couple(channels, beams) for these very
+    beams.
     """
     if coupling is None:
         coupling = couple(channels, beams)
+    coupling.require(u=beams.u, alpha=beams.alpha, g=beams.g)
     N0 = coupling.n0
     F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
     rho = spectral_radius(F)
@@ -394,20 +400,20 @@ def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
 
 
 def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, schedule=None,
-                   beams=None, coupling=None):
+                   coupling=None):
     """Two-step allocation: femto solves and reports, then macro solves.
 
     The femto tier fixes TR beams and its own powers against the tolerated
     cross level, sends the N0 resulting interference scalars, and the macro
-    tier runs its dual iteration against that report. beams and their full
-    coupling do not depend on the SINR targets, so a caller solving many
-    targets on one realization builds them once and passes them in;
-    without them they are designed from channels.
+    tier runs its dual iteration against that report. The beams and their
+    full coupling do not depend on the SINR targets, so a caller solving
+    many targets on one realization passes
+    couple(channels, design_beamformers(channels)) in once built; without
+    it, both are built here. The beams are read from the coupling.
     """
-    if beams is None:
-        beams = design_beamformers(channels)
     if coupling is None:
-        coupling = couple(channels, beams)
+        coupling = couple(channels, design_beamformers(channels))
+    beams = coupling.beams
     lp = build_femto_lp(channels, beams.g, gamma_f, p_tol, noise, coupling)
     p1 = solve_femto(lp)
     cross = cross_report(channels, beams.g, p1, coupling)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamform import BeamformerSet
+
 # Gaussian noise power in watts, Table-defaults value; callers override
 DEFAULT_NOISE = 1e-12
 
@@ -30,24 +32,30 @@ class PowerBreakdown:
     noise: float
 
 
-def coupling_terms(filters, cirs, taps, first=0):
+def coupling_terms(filters, cirs, taps, first=0, victims=None):
     """Per-unit-power coupling of K beams with V victims.
 
     filters (M, K, L) and cirs (M, V, L) share the M transmit antennas.
     Returns (energy (V, K), signal (K,)): energy[v, k] sums |r|^2 over all
     2L-1 taps of beam k's combined response r = sum_m filters[m, k] *
     cirs[m, v], and signal[k] is |r[taps[k] - 1]|^2 at beam k's own
-    victim, first + k.
+    victim, first + k. victims, when given, limits the work to those rows;
+    every other entry is nan, and only the taps of their own beams are
+    checked.
     """
     M, K, L = filters.shape
+    V = cirs.shape[1]
     bands = 2 * L - 1
     taps = np.broadcast_to(np.asarray(taps, dtype=int), (K,))
-    if ((taps < 1) | (taps > bands)).any():
-        raise ValueError(f"selected taps {taps.tolist()} outside 1..{bands}")
-    energy = np.empty((cirs.shape[1], K))
-    signal = np.empty(K)
+    victims = range(V) if victims is None else victims
+    own = [v - first for v in victims if 0 <= v - first < K]
+    if ((taps[own] < 1) | (taps[own] > bands)).any():
+        raise ValueError(
+            f"selected taps {taps[own].tolist()} outside 1..{bands}")
+    energy = np.full((V, K), np.nan)
+    signal = np.full(K, np.nan)
     for k in range(K):
-        for v in range(cirs.shape[1]):
+        for v in victims:
             r = sum(np.convolve(filters[m, k], cirs[m, v]) for m in range(M))
             energy[v, k] = np.sum(np.abs(r) ** 2)
             if v == first + k:
@@ -63,9 +71,12 @@ class Coupling:
     victims first, first+1, ...: all R = N0 + N1 beams (first = 0), the
     N0 ZF beams alone (first = 0) or the N1 TR beams alone (first = N0).
     energy[v, k] is beam k's response energy at victim v; signal[k] is
-    beam k's power at its own victim's sampling tap.
+    beam k's power at its own victim's sampling tap. beams is the
+    BeamformerSet the coupling was built from; a tier it does not hold
+    has None filters and taps.
     """
 
+    beams: BeamformerSet
     n0: int
     first: int
     energy: np.ndarray
@@ -90,22 +101,34 @@ class Coupling:
             raise ValueError("coupling holds no TR beams")
         return slice(start, start + self.n1)
 
+    def require(self, **filters):
+        """Raise ValueError unless built from exactly these beam arrays.
+
+        Keywords name BeamformerSet fields (u, alpha, g); the check is by
+        identity, so a caller cannot pair one set of beams with the
+        coupling of another.
+        """
+        for name, value in filters.items():
+            if getattr(self.beams, name) is not value:
+                raise ValueError(f"coupling was not built from these {name}")
+
     def breakdown(self, v, p0, p1, noise_power, cross_override=None):
-        """Power components at victim v (MUs then FUs) of a full coupling.
+        """Power components at victim v (MUs then FUs).
 
         p0 and p1 are the macro and femto powers; cross_override replaces
-        the other tier's term, and p0 may then be None at an FU.
+        the other tier's term, which is then not read: p0 may be None at
+        an FU, and a coupling of the TR beams alone serves.
         """
         mu = v < self.n0
         own, own_p = (self.macro, p0) if mu else (self.femto, p1)
-        other, other_p = (self.femto, p1) if mu else (self.macro, p0)
-        k = v - own.start
-        main = own_p[k] * self.signal[v]
-        isi = own_p[k] * self.energy[v, v] - main
-        co = self._tier_sum(v, own, own_p, skip=v)
+        col = v - self.first
+        main = own_p[col - own.start] * self.signal[col]
+        isi = own_p[col - own.start] * self.energy[v, col] - main
+        co = self._tier_sum(v, own, own_p, skip=col)
         if cross_override is not None:
             cross = float(cross_override)
         else:
+            other, other_p = (self.femto, p1) if mu else (self.macro, p0)
             cross = self._tier_sum(v, other, other_p)
         return PowerBreakdown(sig=main, isi=isi, co=co, cross=cross,
                               noise=noise_power)
@@ -119,35 +142,39 @@ class Coupling:
         return total
 
 
-def macro_coupling(channels, u, alpha):
-    """Coupling of the ZF beams alone."""
+def macro_coupling(channels, u, alpha, victims=None):
+    """Coupling of the ZF beams alone (victims as in coupling_terms)."""
     energy, signal = coupling_terms(
-        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha)
-    return Coupling(n0=channels.h0.shape[1], first=0, energy=energy,
+        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha,
+        victims=victims)
+    return Coupling(beams=BeamformerSet(u=u, alpha=alpha, g=None, beta=None),
+                    n0=channels.h0.shape[1], first=0, energy=energy,
                     signal=signal)
 
 
-def femto_coupling(channels, g, beta):
+def femto_coupling(channels, g, beta, victims=None):
     """Coupling of the TR beams alone, all sampled at tap beta."""
     n0 = channels.h10.shape[1]
     energy, signal = coupling_terms(
         g, np.concatenate([channels.h10, channels.h1], axis=1), beta,
-        first=n0)
-    return Coupling(n0=n0, first=n0, energy=energy, signal=signal)
+        first=n0, victims=victims)
+    return Coupling(beams=BeamformerSet(u=None, alpha=None, g=g, beta=beta),
+                    n0=n0, first=n0, energy=energy, signal=signal)
 
 
-def couple(channels, beams):
-    """Every beam of a BeamformerSet against every victim."""
-    macro = macro_coupling(channels, beams.u, beams.alpha)
-    femto = femto_coupling(channels, beams.g, beams.beta)
-    return Coupling(n0=macro.n0, first=0,
+def couple(channels, beams, victims=None):
+    """Every beam of a BeamformerSet against every victim (or those given)."""
+    macro = macro_coupling(channels, beams.u, beams.alpha, victims)
+    femto = femto_coupling(channels, beams.g, beams.beta, victims)
+    return Coupling(beams=beams, n0=macro.n0, first=0,
                     energy=np.hstack([macro.energy, femto.energy]),
                     signal=np.concatenate([macro.signal, femto.signal]))
 
 
 def mu_breakdown(channels, beams, p0, p1, n, noise_power=DEFAULT_NOISE):
     """Power components at MU n sampled at its selected tap."""
-    return couple(channels, beams).breakdown(n, p0, p1, noise_power)
+    return couple(channels, beams, victims=[n]).breakdown(
+        n, p0, p1, noise_power)
 
 
 def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
@@ -156,12 +183,17 @@ def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
 
     cross_override replaces the macro-induced term; the femto solver uses
     it with the tolerated cap, since actual macro powers are unknown when
-    the femto tier commits its allocation.
+    the femto tier commits its allocation. The macro beams are then not
+    read.
     """
-    if cross_override is None and p0 is None:
-        raise ValueError("need macro powers or an explicit cross override")
-    return couple(channels, beams).breakdown(
-        channels.h0.shape[1] + j, p0, p1, noise_power, cross_override)
+    v = channels.h0.shape[1] + j
+    if cross_override is None:
+        if p0 is None:
+            raise ValueError("need macro powers or an explicit cross override")
+        coupling = couple(channels, beams, victims=[v])
+    else:
+        coupling = femto_coupling(channels, beams.g, beams.beta, victims=[v])
+    return coupling.breakdown(v, p0, p1, noise_power, cross_override)
 
 
 def sinr(b):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hetnet_tr.channel import ScenarioConfig
-from hetnet_tr.errors import ConfigError
+from hetnet_tr.errors import ConfigError, InfeasibleError
 from hetnet_tr.harness import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -250,6 +250,24 @@ class TestRunExperiment:
         spec = spec_for("power-compare", tmp_path, trials=1, seed=645)
         rows = run_experiment(spec, cfg)
         assert len(rows) == len(spec.sweep_points()) == 27
+
+    @pytest.mark.parametrize("name", ["power-compare", "mu-outage"])
+    def test_unreachable_zf_tap_gives_infeasible_rows(
+            self, tmp_path, monkeypatch, name):
+        """A ZF design without a reachable tap marks the trial's rows
+        infeasible instead of losing the run."""
+        import hetnet_tr.harness as harness
+
+        def no_tap(channels):
+            raise InfeasibleError("zf", "no reachable tap for user 0")
+
+        monkeypatch.setattr(harness, "design_beamformers", no_tap)
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        cfg = ScenarioConfig()
+        spec = spec_for(name, tmp_path, trials=2)
+        rows = run_experiment(spec, cfg)
+        assert len(rows) == 2 * len(spec.sweep_points())
+        assert not any(r.feasible for r in rows)
 
     def test_summary_recomputes_from_trial_rows(self, tmp_path):
         cfg = ScenarioConfig()

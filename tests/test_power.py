@@ -436,12 +436,10 @@ class TestSharedTrialLinks:
                 except InfeasibleError:
                     with pytest.raises(InfeasibleError):
                         solve_proposed(ch, gm, gf, cfg.p_tol,
-                                       cfg.noise_power, beams=beams,
-                                       coupling=coupling)
+                                       cfg.noise_power, coupling=coupling)
                     continue
                 shared = solve_proposed(ch, gm, gf, cfg.p_tol,
-                                        cfg.noise_power, beams=beams,
-                                        coupling=coupling)
+                                        cfg.noise_power, coupling=coupling)
                 for name in ("p0", "p1", "sinr_mu", "sinr_fu",
                              "cross_report"):
                     assert np.array_equal(getattr(shared, name),
@@ -469,3 +467,21 @@ class TestSharedTrialLinks:
         with pytest.raises(ValueError):
             build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
                            cfg.noise_power, macro)
+
+    def test_coupling_of_other_beams_is_refused(self):
+        from hetnet_tr.sinr import couple
+
+        cfg, geo, ch, beams = designed_scenario(seed=95)
+        other = design_beamformers(ch)
+        coupling = couple(ch, other)
+        with pytest.raises(ValueError):
+            solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
+                              cfg.noise_power, coupling=coupling)
+        with pytest.raises(ValueError):
+            build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
+                           cfg.noise_power, coupling)
+        with pytest.raises(ValueError):
+            cross_report(ch, beams.g, np.ones(2), coupling)
+        with pytest.raises(ValueError):
+            macro_coefficients(ch, beams.u, beams.alpha, np.zeros(2),
+                               cfg.noise_power, coupling)

@@ -120,6 +120,31 @@ class TestFuBreakdown:
                 own_and_co + cross, rel=1e-10)
 
 
+class TestVictimRows:
+    """Breakdowns build only their victim's row of the coupling."""
+
+    def test_rows_match_the_full_coupling(self):
+        from hetnet_tr.sinr import couple
+
+        _, _, ch, beams = designed_scenario(207)
+        full = couple(ch, beams)
+        for v in range(full.energy.shape[0]):
+            row = couple(ch, beams, victims=[v])
+            assert np.array_equal(row.energy[v], full.energy[v])
+            assert row.signal[v] == full.signal[v]
+            assert np.isnan(np.delete(row.energy, v, axis=0)).all()
+
+    def test_fu_override_ignores_macro_beams(self):
+        _, _, ch, beams = designed_scenario(208)
+        broken = BeamformerSet(u=beams.u, alpha=np.array([0, 99]),
+                               g=beams.g, beta=beams.beta)
+        p1 = np.array([1.0, 2.0])
+        b = fu_breakdown(ch, broken, None, p1, 1, cross_override=1e-9)
+        assert b == fu_breakdown(ch, beams, None, p1, 1, cross_override=1e-9)
+        with pytest.raises(ValueError):
+            mu_breakdown(ch, broken, np.ones(2), p1, 1)
+
+
 class TestSinr:
     def test_unit_case(self):
         assert sinr(PowerBreakdown(1.0, 0.0, 0.0, 0.0, 1.0)) == 1.0
