@@ -1,14 +1,9 @@
-"""Experiment harness: reference oracles, trial runners, CSV output.
-
-The oracles deliberately avoid the solvers' linear algebra: the femto
-check iterates the fixed point to convergence, the macro check evaluates
-the per-user closed form. Both exist so the solvers are validated against
-arithmetic they do not share.
+"""Experiment harness: experiment registry, trial runners, CSV output.
 
 Experiments are trial-parallel. Every trial derives its own generator
 from (seed, trial id), so output bytes depend only on (spec, config) and
 never on worker count or scheduling; HETNET_TR_THREADS sets the worker
-count (default 1).
+count (default 1, at most os.cpu_count()).
 """
 
 import itertools
@@ -21,7 +16,7 @@ import numpy as np
 
 from .beamform import design_beamformers, tr_beamformer_cirs, zf_select_cirs
 from .channel import draw_channel_set, place_nodes
-from .errors import ConfigError, InfeasibleError, NumericalError
+from .errors import ConfigError, InfeasibleError
 from .linops import toeplitz_conv_matrix
 from .power import (
     build_femto_lp,
@@ -39,66 +34,6 @@ from .robust import (
     young_upper,
 )
 from .sinr import couple, coupling_terms, femto_coupling
-
-_DIVERGENCE_WINDOW = 1_000
-
-
-@dataclass(frozen=True)
-class KktCheck:
-    """Per-user closed-form powers with infeasibility flags."""
-
-    p: np.ndarray
-    feasible: np.ndarray
-
-
-def lp_fixed_point_oracle(F, v, tol=1e-12):
-    """Iterate p <- F p + v from zero until relative convergence.
-
-    The iterates are monotone nondecreasing for nonnegative F, v, so a
-    growth check over a trailing window detects divergence (spectral
-    radius >= 1) without computing eigenvalues.
-    """
-    F = np.asarray(F, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if (F < 0).any() or (v < 0).any():
-        raise ValueError("fixed-point oracle needs nonnegative coefficients")
-    p = np.zeros_like(v)
-    reference = None
-    for k in range(1, 10_000_000):
-        p_next = F @ p + v
-        if np.linalg.norm(p_next - p) <= tol * max(np.linalg.norm(p_next),
-                                                   1e-300):
-            return p_next
-        p = p_next
-        if k % _DIVERGENCE_WINDOW == 0:
-            level = float(np.linalg.norm(p))
-            if reference is not None and level > 2.0 * reference:
-                raise NumericalError(
-                    f"fixed-point iteration diverging (norm {level:.3e} "
-                    f"after {k} steps)")
-            reference = level
-    raise NumericalError("fixed-point iteration exhausted its budget")
-
-
-def macro_kkt_oracle(delta, nabla, gamma, caps):
-    """Closed-form macro powers: p_n = nabla/(1/gamma - delta), cap-checked.
-
-    Entries whose SINR target is unreachable (gamma*delta >= 1) or whose
-    required power exceeds the cap are flagged infeasible and carry the
-    cap value instead.
-    """
-    delta = np.asarray(delta, dtype=float)
-    nabla = np.asarray(nabla, dtype=float)
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), delta.shape)
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), delta.shape)
-    unreachable = gamma * delta >= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        demand = np.where(unreachable, np.inf,
-                          nabla / (1.0 / gamma - delta))
-    over = demand > caps * (1.0 + 1e-12)
-    feasible = ~(unreachable | over)
-    p = np.where(feasible, demand, np.where(np.isfinite(caps), caps, np.inf))
-    return KktCheck(p=p, feasible=feasible)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +213,8 @@ def _mu_outage_trial(trial, cfg, points, extra, seed):
         try:
             prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
                                   cfg.noise_power, coupling=coupling)
-            # slack matches the macro dual's stopping tolerance (x1_tol)
+            # the slack absorbs rounding: solved SINRs meet their target
+            # with equality
             outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
             rows.append(_record(trial, pt, keys,
                                 (outage, float(prop.total_power)), True))
@@ -483,7 +419,7 @@ def _worker_count():
             f"HETNET_TR_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise ConfigError("HETNET_TR_THREADS must be >= 1")
-    return n
+    return min(n, os.cpu_count() or 1)
 
 
 def _format_cell(x):

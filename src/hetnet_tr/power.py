@@ -5,16 +5,16 @@ a linear fixed-point system p >= D B p + D z whose minimal solution is the
 matrix-inverse closed form; the cross-interference actually caused is then
 reported to the macro tier as N0 scalars.
 
-Macro tier: with the report in hand, the per-user problem is solved through
-its Lagrangian dual in log-power variables; a quadratic stationarity
-equation yields the primal iterate in closed form and the multipliers are
-driven by the constraint residuals.
+Macro tier: with the report in hand, each user's problem decouples into
+minimize p subject to p/(delta p + nabla) >= gamma and caps p <= p_tol,
+whose optimum is the closed form gamma nabla/(1 - gamma delta) whenever it
+meets the tightest cap.
 
 Centralized reference: all N0+N1 SINR constraints stacked into one linear
 fixed point, solved exactly; it lower-bounds the two-step scheme's power.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
 from .linops import spectral_radius
 from .sinr import couple, femto_coupling, macro_coupling, sinr
-
-# trust region for multiplier updates: one step moves mu by at most this factor
-_STEP_CLAMP = 8.0
 
 
 @dataclass(frozen=True)
@@ -46,35 +43,14 @@ class FemtoLp:
 
 
 @dataclass(frozen=True)
-class SubgradientSchedule:
-    """Multiplier step rule for the macro dual iteration.
+class MacroStats:
+    """Second item of solve_macro's result.
 
-    kind "adaptive" takes curvature-scaled steps clamped to a trust region;
-    kind "diminishing" uses a/(b+t) gains (multiplicative on the SINR
-    multiplier, additive on the cap multipliers).
+    The closed form takes no iterations; the field stays because
+    perfbench/spans.py reads result[1].iterations.
     """
 
-    kind: str = "adaptive"
-    a: float = 0.1
-    b: float = 10.0
-    max_iter: int = 50_000
-    x1_tol: float = 1e-6
-    x2_tol: float = 1e-8
-
-
-@dataclass(frozen=True)
-class MacroDual:
-    """Final state of the macro dual iteration."""
-
-    delta: np.ndarray
-    nabla: np.ndarray
-    xi: np.ndarray
-    mu: np.ndarray
-    lam: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    iterations: int
-    schedule: SubgradientSchedule
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -86,7 +62,6 @@ class AllocationResult:
     sinr_mu: np.ndarray
     sinr_fu: np.ndarray
     cross_report: np.ndarray
-    iterations: int
     total_power: float
     feasible: bool
 
@@ -175,7 +150,7 @@ def cross_report(channels, g, p1, coupling=None):
 
 
 def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
-    """(delta, nabla, caps) for the macro dual, normalized by main-tap power.
+    """(delta, nabla, caps) for the macro tier, normalized by main-tap power.
 
     delta collects own-ISI plus leakage onto the other MUs' channels (the
     uplink-dual co-tier term); nabla carries the reported cross power plus
@@ -207,28 +182,19 @@ def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
     return delta, nabla, caps
 
 
-def _primal_from_multipliers(delta, nabla, mu, q):
-    """Stationary power: the positive root of q*delta*t^2 + q*nabla*t = mu*nabla."""
-    disc = np.sqrt(nabla ** 2 * q ** 2 + 4.0 * delta * q * mu * nabla)
-    return 2.0 * mu * nabla / (q * nabla + disc)
-
-
-def macro_dual_solve(delta, nabla, gamma, caps_i, p_tol, schedule=None):
-    """Dual-iteration solve of the macro problem, batched over leading axes.
+def macro_powers(delta, nabla, gamma, caps_i, p_tol):
+    """Closed-form macro powers, batched over leading axes.
 
     delta, nabla: (..., N) nonnegative; gamma broadcastable to (..., N);
     caps_i: (..., N, J) per-pair interference coefficients (J may be 0);
     p_tol: scalar cap in watts.
 
-    Returns (p, MacroDual, feasible) where infeasible entries carry the
-    largest power their tightest cap admits (or inf when the SINR target
-    is unreachable and no finite cap exists) and feasible is a boolean
-    mask shaped like p. Iteration runs only on feasible entries.
+    Returns (p, feasible), feasible a boolean mask shaped like p. Feasible
+    entries carry gamma*nabla/(1 - gamma*delta). Infeasible ones, whose
+    SINR target is unreachable or whose demand exceeds the tightest cap,
+    carry the largest power that cap admits (inf when no finite cap
+    exists).
     """
-    if schedule is None:
-        schedule = SubgradientSchedule()
-    if schedule.kind not in ("adaptive", "diminishing"):
-        raise ValueError(f"unknown schedule kind '{schedule.kind}'")
     delta = np.asarray(delta, dtype=float)
     nabla = np.asarray(nabla, dtype=float)
     if (delta < 0).any() or (nabla <= 0).any():
@@ -237,89 +203,28 @@ def macro_dual_solve(delta, nabla, gamma, caps_i, p_tol, schedule=None):
     caps_i = np.asarray(caps_i, dtype=float)
     if caps_i.ndim == delta.ndim:  # single cap column
         caps_i = caps_i[..., None]
-
-    # analytic prechecks: the per-user problem decouples, so both failure
-    # modes are visible without iterating
-    with np.errstate(divide="ignore"):
-        cap = np.where(caps_i > 0.0, p_tol / np.where(caps_i > 0, caps_i, 1.0),
-                       np.inf).min(axis=-1) if caps_i.shape[-1] else \
-            np.full(delta.shape, np.inf)
+    cap = np.where(caps_i > 0.0, p_tol / np.where(caps_i > 0.0, caps_i, 1.0),
+                   np.inf).min(axis=-1, initial=np.inf)
     unreachable = gamma * delta >= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         p_min = np.where(unreachable, np.inf,
                          gamma * nabla / (1.0 - gamma * delta))
-    over_cap = p_min > cap * (1.0 + 1e-12)
-    feasible = ~(unreachable | over_cap)
-
-    # benign placeholders keep the vectorized iteration finite everywhere
-    w_delta = np.where(feasible, delta, 0.0)
-    w_nabla = np.where(feasible, nabla, 1.0)
-    w_gamma = np.where(feasible, gamma, 1.0)
-
-    J = caps_i.shape[-1]
-    mu = w_nabla.copy()
-    lam = np.zeros(caps_i.shape)
-    t = w_nabla.copy()
-    x1 = np.zeros(delta.shape)
-    x2 = np.full(caps_i.shape, -p_tol)
-    iterations = 0
-    converged = False
-    for iterations in range(1, schedule.max_iter + 1):
-        big_lam = (lam * caps_i).sum(axis=-1)
-        q = 1.0 + big_lam
-        t = _primal_from_multipliers(w_delta, w_nabla, mu, q)
-        x1 = np.log(w_delta + w_nabla / t) + np.log(w_gamma)
-        x2 = caps_i * t[..., None] - p_tol
-        ok1 = np.abs(np.where(feasible, x1, 0.0)).max() <= schedule.x1_tol
-        ok2 = (np.where(feasible[..., None], x2, -p_tol).max() <= schedule.x2_tol
-               if J else True)
-        if ok1 and ok2:
-            converged = True
-            break
-        if schedule.kind == "adaptive":
-            # Newton step on x1(mu); |dx1/dmu| = nabla^2/(q t (dt+n)(2dt+n))
-            slope = w_nabla ** 2 / (
-                q * t * (w_delta * t + w_nabla) * (2.0 * w_delta * t + w_nabla))
-            mu_new = mu + x1 / slope
-            mu = np.clip(mu_new, mu / _STEP_CLAMP, mu * _STEP_CLAMP)
-            if J:
-                dt_dlam = caps_i * (w_delta * t ** 2 + w_nabla * t)[..., None] / (
-                    q * (2.0 * w_delta * t + w_nabla))[..., None]
-                slope2 = caps_i * dt_dlam
-                lam = np.maximum(lam + x2 / np.maximum(slope2, 1e-300), 0.0)
-        elif schedule.kind == "diminishing":
-            step = schedule.a / (schedule.b + iterations)
-            mu = mu * np.exp(np.clip(step * x1, -np.log(_STEP_CLAMP),
-                                     np.log(_STEP_CLAMP)))
-            if J:
-                lam = np.maximum(lam + step * x2 / p_tol, 0.0)
-    if not converged and feasible.any():
-        worst = float(np.abs(np.where(feasible, x1, 0.0)).max())
-        raise NumericalError(
-            f"macro dual did not converge in {schedule.max_iter} iterations "
-            f"(|X1| = {worst:.3e}, schedule {schedule.kind})")
-
-    p = np.where(feasible, t, np.where(np.isfinite(cap), cap, np.inf))
-    with np.errstate(invalid="ignore"):
-        xi = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), -np.inf)
-    dual = MacroDual(delta=delta, nabla=nabla, xi=xi, mu=mu, lam=lam,
-                     x1=x1, x2=x2, iterations=iterations, schedule=schedule)
-    return p, dual, feasible
+    feasible = ~(unreachable | (p_min > cap * (1.0 + 1e-12)))
+    return np.where(feasible, p_min, cap), feasible
 
 
 def solve_macro(channels, u, alpha, gamma_m, p_tol, cross_star, noise,
-                schedule=None, coupling=None):
+                coupling=None):
     """Macro powers for fixed ZF beams and a femto cross report.
 
-    Raises InfeasibleError naming the violated cap (or the unreachable SINR
-    target) before iterating; the error detail carries the capped power.
-    coupling is as in macro_coefficients.
+    Returns (p, MacroStats()). Raises InfeasibleError naming the violated
+    cap (or the unreachable SINR target); the error detail carries the
+    capped power. coupling is as in macro_coefficients.
     """
     delta, nabla, caps = macro_coefficients(channels, u, alpha, cross_star,
                                             noise, coupling)
     gamma = np.broadcast_to(np.asarray(gamma_m, dtype=float), delta.shape)
-    p, dual, feasible = macro_dual_solve(delta, nabla, gamma, caps, p_tol,
-                                         schedule)
+    p, feasible = macro_powers(delta, nabla, gamma, caps, p_tol)
     if not feasible.all():
         n = int(np.argmax(~feasible))
         if gamma[n] * delta[n] >= 1.0:
@@ -336,7 +241,7 @@ def solve_macro(channels, u, alpha, gamma_m, p_tol, cross_star, noise,
         raise NumericalError("macro solution violates an SINR constraint")
     if caps.size and (caps * p[:, None] > p_tol * (1.0 + 1e-6)).any():
         raise NumericalError("macro solution violates an interference cap")
-    return p, dual
+    return p, MacroStats()
 
 
 def _centralized_system(coupling, gamma_m, gamma_f, noise):
@@ -396,16 +301,15 @@ def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu,
         cross_report=cross_report(channels, beams.g, p1, coupling),
-        iterations=0, total_power=float(p.sum()), feasible=True)
+        total_power=float(p.sum()), feasible=True)
 
 
-def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, schedule=None,
-                   coupling=None):
+def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     """Two-step allocation: femto solves and reports, then macro solves.
 
     The femto tier fixes TR beams and its own powers against the tolerated
     cross level, sends the N0 resulting interference scalars, and the macro
-    tier runs its dual iteration against that report. The beams and their
+    tier solves its closed form against that report. The beams and their
     full coupling do not depend on the SINR targets, so a caller solving
     many targets on one realization passes
     couple(channels, design_beamformers(channels)) in once built; without
@@ -417,10 +321,9 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, schedule=None,
     lp = build_femto_lp(channels, beams.g, gamma_f, p_tol, noise, coupling)
     p1 = solve_femto(lp)
     cross = cross_report(channels, beams.g, p1, coupling)
-    p0, dual = solve_macro(channels, beams.u, beams.alpha, gamma_m, p_tol,
-                           cross, noise, schedule, coupling)
+    p0, _ = solve_macro(channels, beams.u, beams.alpha, gamma_m, p_tol,
+                        cross, noise, coupling)
     sinr_mu, sinr_fu = _sinrs(coupling, p0, p1, noise, cross_override=p_tol)
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu, cross_report=cross,
-        iterations=dual.iterations,
         total_power=float(p0.sum() + p1.sum()), feasible=True)

@@ -4,6 +4,10 @@ The per-candidate zero-forcing path below is the loop the vectorized
 selector in hetnet_tr.beamform replaced: it rebuilds the stacked system
 for every candidate and ranks it through explicit convolutions, so the
 selector can be checked against arithmetic it does not share.
+
+The power oracles likewise avoid the solvers' arithmetic: the femto check
+iterates the fixed point to convergence, and the macro check evaluates the
+per-user closed form as nabla/(1/gamma - delta).
 """
 
 from dataclasses import dataclass, replace
@@ -16,10 +20,69 @@ from hetnet_tr.beamform import (
     _unflatten,
     tr_beamformer_cirs,
 )
-from hetnet_tr.errors import InfeasibleError
+from hetnet_tr.errors import InfeasibleError, NumericalError
 from hetnet_tr.linops import pseudo_inverse
 
 PERTURB_MODES = ("worst_aligned", "worst_anti_aligned", "uniform_ball")
+_DIVERGENCE_WINDOW = 1_000
+
+
+@dataclass(frozen=True)
+class KktCheck:
+    """Per-user closed-form powers with infeasibility flags."""
+
+    p: np.ndarray
+    feasible: np.ndarray
+
+
+def lp_fixed_point_oracle(F, v, tol=1e-12):
+    """Iterate p <- F p + v from zero until relative convergence.
+
+    The iterates are monotone nondecreasing for nonnegative F, v, so a
+    growth check over a trailing window detects divergence (spectral
+    radius >= 1) without computing eigenvalues.
+    """
+    F = np.asarray(F, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if (F < 0).any() or (v < 0).any():
+        raise ValueError("fixed-point oracle needs nonnegative coefficients")
+    p = np.zeros_like(v)
+    reference = None
+    for k in range(1, 10_000_000):
+        p_next = F @ p + v
+        if np.linalg.norm(p_next - p) <= tol * max(np.linalg.norm(p_next),
+                                                   1e-300):
+            return p_next
+        p = p_next
+        if k % _DIVERGENCE_WINDOW == 0:
+            level = float(np.linalg.norm(p))
+            if reference is not None and level > 2.0 * reference:
+                raise NumericalError(
+                    f"fixed-point iteration diverging (norm {level:.3e} "
+                    f"after {k} steps)")
+            reference = level
+    raise NumericalError("fixed-point iteration exhausted its budget")
+
+
+def macro_kkt_oracle(delta, nabla, gamma, caps):
+    """Closed-form macro powers: p_n = nabla/(1/gamma - delta), cap-checked.
+
+    Entries whose SINR target is unreachable (gamma*delta >= 1) or whose
+    required power exceeds the cap are flagged infeasible and carry the
+    cap value instead.
+    """
+    delta = np.asarray(delta, dtype=float)
+    nabla = np.asarray(nabla, dtype=float)
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), delta.shape)
+    caps = np.broadcast_to(np.asarray(caps, dtype=float), delta.shape)
+    unreachable = gamma * delta >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        demand = np.where(unreachable, np.inf,
+                          nabla / (1.0 / gamma - delta))
+    over = demand > caps * (1.0 + 1e-12)
+    feasible = ~(unreachable | over)
+    p = np.where(feasible, demand, np.where(np.isfinite(caps), caps, np.inf))
+    return KktCheck(p=p, feasible=feasible)
 
 
 @dataclass(frozen=True)

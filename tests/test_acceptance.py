@@ -19,13 +19,11 @@ from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import (
     ExperimentSpec,
     _fu_outage_trial,
-    lp_fixed_point_oracle,
-    macro_kkt_oracle,
     run_experiment,
 )
 from hetnet_tr.power import (
     build_femto_lp,
-    macro_dual_solve,
+    macro_powers,
     solve_centralized,
     solve_femto,
     solve_proposed,
@@ -38,7 +36,11 @@ from hetnet_tr.robust import (
 )
 from hetnet_tr.sinr import fu_breakdown, sinr
 
-from oracles import weight_factored_powers
+from oracles import (
+    lp_fixed_point_oracle,
+    macro_kkt_oracle,
+    weight_factored_powers,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -143,21 +145,21 @@ def test_femto_allocation_matches_fixed_point(capsys):
 
 
 def test_macro_allocation_matches_kkt(capsys):
-    """Batched dual solve vs the per-user KKT closed form."""
+    """Batched macro solve vs the per-user KKT closed form."""
     rng = np.random.default_rng(3001)
     n = 2
     gamma = 10 ** rng.uniform(-0.4, 0.4, (200, n))
     delta = rng.uniform(0.0, 0.8, (200, n)) / gamma
     nabla = 10 ** rng.uniform(-14, -8, (200, n))
     caps_i = rng.uniform(0.1, 1.0, (200, n, 3))
-    p, _, feas = macro_dual_solve(delta, nabla, gamma, caps_i, p_tol=1.0)
+    p, feas = macro_powers(delta, nabla, gamma, caps_i, p_tol=1.0)
     ref = macro_kkt_oracle(delta, nabla, gamma, 1.0 / caps_i.max(axis=-1))
     slack_ok = bool(feas.all() and ref.feasible.all())
     err_slack = float(np.max(np.abs(p - ref.p) / ref.p))
 
     # a second batch with caps low enough that many entries bind
     p_tol = 1e-9
-    p2, _, feas2 = macro_dual_solve(delta, nabla, gamma, caps_i, p_tol)
+    p2, feas2 = macro_powers(delta, nabla, gamma, caps_i, p_tol)
     ref2 = macro_kkt_oracle(delta, nabla, gamma, p_tol / caps_i.max(axis=-1))
     flags_agree = bool(np.array_equal(feas2, ref2.feasible))
     binding = ~feas2

@@ -1,16 +1,19 @@
 """Experiment harness tests: specs, sweeps, trial outputs, CSV determinism."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from hetnet_tr.beamform import design_beamformers
 from hetnet_tr.channel import ScenarioConfig
 from hetnet_tr.errors import ConfigError, InfeasibleError
 from hetnet_tr.harness import (
     EXPERIMENTS,
     ExperimentSpec,
     _bound_tightness_trial,
+    _draw_scenario,
     _fu_outage_trial,
     _mu_outage_trial,
     _power_compare_trial,
@@ -18,6 +21,11 @@ from hetnet_tr.harness import (
     _tr_vs_zf_trial,
     _worker_count,
     run_experiment,
+)
+from hetnet_tr.power import (
+    macro_coefficients,
+    solve_centralized,
+    solve_proposed,
 )
 
 
@@ -181,8 +189,20 @@ class TestWorkerCount:
         assert _worker_count() == 1
 
     def test_explicit(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("HETNET_TR_THREADS", "3")
         assert _worker_count() == 3
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        """A huge request is cut to the CPU count; no process is started."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HETNET_TR_THREADS", "1000")
+        assert _worker_count() == 2
+
+    def test_unknown_cpu_count_gives_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setenv("HETNET_TR_THREADS", "8")
+        assert _worker_count() == 1
 
     def test_non_integer_rejected(self, monkeypatch):
         monkeypatch.setenv("HETNET_TR_THREADS", "two")
@@ -243,13 +263,43 @@ class TestRunExperiment:
     def test_exact_zf_own_isi_rounding_does_not_abort(self, tmp_path):
         """Seed 645, trial 0: exact ZF beams leave own-ISI a few ulp below 0.
 
-        The macro coefficients clamp it at zero instead of handing the dual
-        a negative delta, so the whole default grid completes.
+        The macro coefficients clamp it at zero instead of handing the macro
+        solve a negative delta, so the whole default grid completes.
         """
         cfg = ScenarioConfig()
         spec = spec_for("power-compare", tmp_path, trials=1, seed=645)
         rows = run_experiment(spec, cfg)
         assert len(rows) == len(spec.sweep_points()) == 27
+
+    def test_nearly_binding_macro_cap_does_not_abort(self, tmp_path,
+                                                     monkeypatch):
+        """Seed 3048651161, trial 0, at (-3, 2) dB: MU 0 needs about 222.26 W
+        under a cross-tier cap of about 225.23 W.
+
+        The whole default grid completes, and that point's row is infeasible
+        only because the centralized coupling has spectral radius >= 1.
+        """
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        cfg = ScenarioConfig()
+        spec = spec_for("power-compare", tmp_path, trials=1, seed=3048651161)
+        rows = run_experiment(spec, cfg)
+        assert len(rows) == len(spec.sweep_points()) == 27
+        point = (("gamma_m_db", -3.0), ("gamma_f_db", 2.0))
+        (row,) = [r for r in rows if r.sweep == point]
+        assert not row.feasible
+
+        channels, _ = _draw_scenario(cfg, spec.seed, 0)
+        gm, gf = 10 ** -0.3, 10 ** 0.2
+        prop = solve_proposed(channels, gm, gf, cfg.p_tol, cfg.noise_power)
+        assert prop.p0[0] == pytest.approx(222.26, abs=0.01)
+        beams = design_beamformers(channels)
+        _, _, caps = macro_coefficients(channels, beams.u, beams.alpha,
+                                        prop.cross_report, cfg.noise_power)
+        assert prop.p0[0] * caps[0].max() <= cfg.p_tol
+        with pytest.raises(InfeasibleError,
+                           match=r"spectral radius 1\.0069") as exc:
+            solve_centralized(channels, beams, gm, gf, cfg.noise_power)
+        assert exc.value.stage == "centralized"
 
     @pytest.mark.parametrize("name", ["power-compare", "mu-outage"])
     def test_unreachable_zf_tap_gives_infeasible_rows(
