@@ -284,25 +284,34 @@ def _bound_tightness_trial(trial, cfg, points, extra, seed):
     return rows
 
 
-def _robust_designs(channels, coupling, psi, gamma_f, cfg):
+def _robust_stacks(channels, g, psi, cfg):
+    """Both worst-case coefficient stacks at one error fraction.
+
+    They depend on psi but not on the SINR target, so a trial builds them
+    once per psi and every gamma_f reuses them.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {variant: assemble_bounds(channels, g, psi, cfg.p_tol,
+                                         cfg.noise_power, variant=variant)
+                for variant in ("proposed", "young")}
+
+
+def _robust_designs(channels, coupling, stacks, gamma_f, cfg):
     """Non-robust and both robust allocations; None marks infeasibility.
 
-    coupling is the trial's femto_coupling of its TR beams.
+    coupling is the trial's femto_coupling of its TR beams and stacks the
+    _robust_stacks of those beams at the row's psi.
     """
-    g = coupling.beams.g
     designs = {}
     try:
         designs["nonrobust"] = solve_femto(
-            build_femto_lp(channels, g, gamma_f, cfg.p_tol, cfg.noise_power,
-                           coupling))
+            build_femto_lp(channels, coupling.beams.g, gamma_f, cfg.p_tol,
+                           cfg.noise_power, coupling))
     except InfeasibleError:
         designs["nonrobust"] = None
-    for variant in ("proposed", "young"):
+    for variant, bounds in stacks.items():
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                bounds = assemble_bounds(channels, g, psi, cfg.p_tol,
-                                         cfg.noise_power, variant=variant)
             designs[variant] = solve_robust(bounds, gamma_f, cfg.p_tol,
                                             cfg.noise_power)
         except InfeasibleError:
@@ -319,17 +328,34 @@ def _design_row(designs):
     return powers, flags
 
 
+def _ball_statistics(h1, beams, psi, rng, draws):
+    """Per FU j, (tot, main) of every TR beam over j's sampled true channels.
+
+    beams is toeplitz_conv_matrix of the filters laid out as one
+    (M*L, N1*(2L-1)) matrix, so one product gives every beam's response
+    on every draw. tot[p, k] is beam k's response energy on draw p and
+    main[p] the power of FU j's own beam at the central tap.
+    """
+    M, n1, taps = h1.shape
+    stats = []
+    for j in range(n1):
+        truths = sample_true_channels(h1[:, j, :], psi, rng, count=draws)
+        resp = (truths.reshape(draws, M * taps) @ beams).reshape(
+            draws, n1, 2 * taps - 1)
+        tot = np.sum(np.abs(resp) ** 2, axis=2)
+        main = np.abs(resp[:, j, taps - 1]) ** 2
+        stats.append((tot, main))
+    return stats
+
+
 def _fu_outage_trial(trial, cfg, points, extra, seed):
     channels, rng = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
     femto = femto_coupling(channels, g, channels.taps)
-    n1 = channels.h1.shape[1]
-    taps = channels.taps
+    M, n1, taps = g.shape
     draws = int(extra["error_draws"])
-    mats = np.stack([
-        np.stack([toeplitz_conv_matrix(g[i, j, :])
-                  for i in range(g.shape[0])])
-        for j in range(n1)])
+    beams = toeplitz_conv_matrix(g).transpose(0, 3, 1, 2).reshape(
+        M * taps, n1 * (2 * taps - 1))
     keys = _VALUE_KEYS["fu-outage"]
     floor = cfg.p_tol + cfg.noise_power
     per_psi = {}
@@ -338,18 +364,11 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
         psi = float(pt.get("psi", cfg.psi))
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         if psi not in per_psi:
-            # response statistics of the filters over each victim's true draws
-            stats = []
-            for j in range(n1):
-                truths = sample_true_channels(channels.h1[:, j, :], psi,
-                                              rng, count=draws)
-                resp = np.einsum("jikl,pil->pjk", mats, truths)
-                tot = np.sum(np.abs(resp) ** 2, axis=2)
-                main = np.abs(resp[:, j, taps - 1]) ** 2
-                stats.append((tot, main))
-            per_psi[psi] = stats
-        stats = per_psi[psi]
-        designs = _robust_designs(channels, femto, psi, gf, cfg)
+            per_psi[psi] = (
+                _ball_statistics(channels.h1, beams, psi, rng, draws),
+                _robust_stacks(channels, g, psi, cfg))
+        stats, stacks = per_psi[psi]
+        designs = _robust_designs(channels, femto, stacks, gf, cfg)
         outages = []
         for label in ("nonrobust", "proposed", "young"):
             p1 = designs[label]
@@ -378,11 +397,14 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
     g = tr_beamformer_cirs(channels.h1)
     femto = femto_coupling(channels, g, channels.taps)
     keys = _VALUE_KEYS["robust-power"]
+    per_psi = {}
     rows = []
     for pt in points:
         psi = float(pt.get("psi", cfg.psi))
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
-        designs = _robust_designs(channels, femto, psi, gf, cfg)
+        if psi not in per_psi:
+            per_psi[psi] = _robust_stacks(channels, g, psi, cfg)
+        designs = _robust_designs(channels, femto, per_psi[psi], gf, cfg)
         powers, flags = _design_row(designs)
         feasible = all(designs[k] is not None
                        for k in ("nonrobust", "proposed", "young"))

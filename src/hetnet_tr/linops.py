@@ -5,7 +5,6 @@ safe under process- or thread-level parallelism.
 """
 
 import numpy as np
-from scipy.linalg import convolution_matrix
 
 from .errors import NumericalError
 
@@ -49,11 +48,18 @@ def sylvester_matrix(h_rows, L):
 
 
 def toeplitz_conv_matrix(g):
-    """(2L-1) x L matrix G with G @ x == convolve(g, x) for any length-L x."""
+    """(2L-1) x L matrix G with G @ x == convolve(g, x) for any length-L x.
+
+    g may stack filters along leading axes, (..., L); their matrices then
+    stack the same way, (..., 2L-1, L).
+    """
     g = np.asarray(g)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("toeplitz_conv_matrix expects a non-empty 1-D vector")
-    return convolution_matrix(g, g.size, mode="full")
+    if g.ndim == 0 or g.shape[-1] == 0:
+        raise ValueError("toeplitz_conv_matrix expects non-empty filters")
+    L = g.shape[-1]
+    lag = np.arange(2 * L - 1)[:, None] - np.arange(L)[None, :]
+    inside = (lag >= 0) & (lag < L)
+    return np.where(inside, g[..., np.clip(lag, 0, L - 1)], 0)
 
 
 def pseudo_inverse(A):

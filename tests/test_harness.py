@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hetnet_tr.beamform import design_beamformers
+from hetnet_tr.beamform import design_beamformers, tr_beamformer_cirs
 from hetnet_tr.channel import ScenarioConfig
 from hetnet_tr.errors import ConfigError, InfeasibleError
 from hetnet_tr.harness import (
@@ -18,6 +18,7 @@ from hetnet_tr.harness import (
     _mu_outage_trial,
     _power_compare_trial,
     _robust_power_trial,
+    _robust_stacks,
     _tr_vs_zf_trial,
     _worker_count,
     run_experiment,
@@ -27,6 +28,7 @@ from hetnet_tr.power import (
     solve_centralized,
     solve_proposed,
 )
+from hetnet_tr.robust import assemble_bounds, solve_robust
 
 
 def spec_for(name, tmp_path, trials=2, sweep=None, seed=5):
@@ -181,6 +183,34 @@ class TestTrialFunctions:
         v = dict(rows[0].values)
         assert v["feas_nonrobust"] == 1.0 and v["feas_proposed"] == 1.0
         assert v["power_proposed_w"] == v["power_nonrobust_w"]
+
+
+class TestRobustStacks:
+    def test_harness_stacks_are_assemble_bounds(self):
+        """The rows use assemble_bounds of the trial's TR beams, bit for bit."""
+        cfg = ScenarioConfig()
+        channels, _ = _draw_scenario(cfg, 5, 1)
+        g = tr_beamformer_cirs(channels.h1)
+        points = [{"psi": psi, "gamma_f_db": -6.0} for psi in (0.0, 0.04)]
+        rows = _robust_power_trial(1, cfg, points, {}, 5)
+        for pt, row in zip(points, rows):
+            stacks = _robust_stacks(channels, g, pt["psi"], cfg)
+            v = dict(row.values)
+            for variant in ("proposed", "young"):
+                ref = assemble_bounds(channels, g, pt["psi"], cfg.p_tol,
+                                      cfg.noise_power, variant=variant)
+                got = stacks[variant]
+                for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff",
+                              "omega_coeff"):
+                    assert np.array_equal(getattr(got, field),
+                                          getattr(ref, field))
+                try:
+                    want = float(np.sum(solve_robust(
+                        ref, 10.0 ** -0.6, cfg.p_tol, cfg.noise_power)))
+                except InfeasibleError:
+                    want = float("nan")
+                assert np.array_equal(v[f"power_{variant}_w"], want,
+                                      equal_nan=True)
 
 
 class TestWorkerCount:
