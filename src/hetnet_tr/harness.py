@@ -8,7 +8,6 @@ count (default 1, at most os.cpu_count()).
 
 import itertools
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -290,11 +289,9 @@ def _robust_stacks(channels, g, psi, cfg):
     They depend on psi but not on the SINR target, so a trial builds them
     once per psi and every gamma_f reuses them.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return {variant: assemble_bounds(channels, g, psi, cfg.p_tol,
-                                         cfg.noise_power, variant=variant)
-                for variant in ("proposed", "young")}
+    return {variant: assemble_bounds(channels, g, psi, cfg.p_tol,
+                                     cfg.noise_power, variant=variant)
+            for variant in ("proposed", "young")}
 
 
 def _robust_designs(channels, coupling, stacks, gamma_f, cfg):
@@ -328,19 +325,21 @@ def _design_row(designs):
     return powers, flags
 
 
-def _ball_statistics(h1, beams, psi, rng, draws):
+def _ball_statistics(h1, g, psi, rng, draws):
     """Per FU j, (tot, main) of every TR beam over j's sampled true channels.
 
-    beams is toeplitz_conv_matrix of the filters laid out as one
+    The filters' convolution matrices are laid out as one
     (M*L, N1*(2L-1)) matrix, so one product gives every beam's response
     on every draw. tot[p, k] is beam k's response energy on draw p and
     main[p] the power of FU j's own beam at the central tap.
     """
-    M, n1, taps = h1.shape
+    M, n1, taps = g.shape
+    conv = toeplitz_conv_matrix(g).transpose(0, 3, 1, 2).reshape(
+        M * taps, n1 * (2 * taps - 1))
     stats = []
     for j in range(n1):
         truths = sample_true_channels(h1[:, j, :], psi, rng, count=draws)
-        resp = (truths.reshape(draws, M * taps) @ beams).reshape(
+        resp = (truths.reshape(draws, M * taps) @ conv).reshape(
             draws, n1, 2 * taps - 1)
         tot = np.sum(np.abs(resp) ** 2, axis=2)
         main = np.abs(resp[:, j, taps - 1]) ** 2
@@ -352,10 +351,8 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
     channels, rng = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
     femto = femto_coupling(channels, g, channels.taps)
-    M, n1, taps = g.shape
+    n1 = g.shape[1]
     draws = int(extra["error_draws"])
-    beams = toeplitz_conv_matrix(g).transpose(0, 3, 1, 2).reshape(
-        M * taps, n1 * (2 * taps - 1))
     keys = _VALUE_KEYS["fu-outage"]
     floor = cfg.p_tol + cfg.noise_power
     per_psi = {}
@@ -365,7 +362,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         if psi not in per_psi:
             per_psi[psi] = (
-                _ball_statistics(channels.h1, beams, psi, rng, draws),
+                _ball_statistics(channels.h1, g, psi, rng, draws),
                 _robust_stacks(channels, g, psi, cfg))
         stats, stacks = per_psi[psi]
         designs = _robust_designs(channels, femto, stacks, gf, cfg)

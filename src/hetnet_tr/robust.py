@@ -1,46 +1,45 @@
 """Worst-case robust femto design under norm-bounded channel error.
 
 The femto tier knows its CIRs only through estimates. Each per-antenna
-error e is bounded against the true channel h, ||e||^2 <= psi ||h||^2,
-which written around the estimate is a shifted ball:
+error e = h_hat - h is bounded against the true channel h,
+||e||^2 <= psi ||h||^2, so the true channels antenna i admits form the
+ball
 
-    || e + psi/(1-psi) h_hat ||  <=  sqrt(psi) ||h_hat|| / (1-psi).
+    || h - c_i ||  <=  r_i,   c_i = h_hat_i / (1-psi),
+                              r_i = sqrt(psi) ||h_hat_i|| / (1-psi).
 
-Signal power gets a closed-form floor, self- and co-channel interference
-get closed-form ceilings, and the resulting coefficient stack drops into
-the same fixed-point allocation as the exact-CSI path. Two ceiling
-families are provided: a norm-product one (l1/l2 convolution inequality)
-and a per-antenna extremal-direction one whose cross-antenna terms are
-folded through a single absolute value. An empirical oracle extremizes
-the true response functionals over the exact shifted ball so the closed
-forms can be audited instead of trusted.
+Every quantity the allocation needs is a linear map of the channels, and
+its worst case over this product of balls has a closed form (the
+worst-case analysis of Vorobyov, Gershman & Luo, IEEE TSP 2003). With
+G_i antenna i's convolution matrix and a_i = g_i reversed its central
+row, the central-tap amplitude sum_i a_i^T h_i fills a disc around its
+value at the centers, so the signal floor
+
+    max(0, |sum_i a_i^T c_i| - sum_i r_i ||a_i||)^2
+
+is exact and attained on the boundary. The triangle inequality bounds a
+response energy by (||sum_i G_i c_i|| + sum_i r_i ||G_i||_2)^2, and the
+ISI by the same expression with the central row of every G_i dropped.
+These fill the `proposed` stack. The `young` stack keeps the looser
+norm-product ceiling (sum_i ||g_i||_1 ||h_hat_i|| / (1 - sqrt(psi)))^2,
+from ||G_i||_2 <= ||g_i||_1 and the largest norm ||c_i|| + r_i the ball
+admits. Either coefficient stack drops into the same fixed-point
+allocation as the exact-CSI path. An empirical oracle extremizes the
+true response functionals over the exact ball so the closed forms can be
+audited instead of trusted.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import sample_true_given_estimate
 from .errors import InfeasibleError
-from .linops import dominant_eigpair, spectral_radius, toeplitz_conv_matrix
+from .linops import spectral_radius, toeplitz_conv_matrix
 from .power import _femto_coefficients, _femto_leakage, _solve_interference_lp
 from .sinr import femto_coupling
 
-# below this fraction of ||h_hat|| the estimate carries no usable phase
-# reference and the extremal direction keeps a largest-entry phase instead
-_PHASE_FLOOR = 1e-12
-
 _VARIANTS = ("proposed", "young")
-
-
-@dataclass(frozen=True)
-class VirtualChannel:
-    """Extremal channel of one antenna's response-energy quadratic."""
-
-    h_star: np.ndarray
-    phi_star: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class RobustBounds:
     pu_isi_coeff: np.ndarray
     pu_co_coeff: np.ndarray
     omega_coeff: np.ndarray
-    young_norm: np.ndarray
     psi: float
     variant: str
 
@@ -77,161 +75,119 @@ def _check_psi(psi):
     return psi
 
 
-def _margin(psi):
-    """Norm shrink factor 1 - sqrt(psi); the set's largest norm is ||h_hat||/margin."""
-    return 1.0 - float(np.sqrt(psi))
+def _ball_bounds(g, h, psi):
+    """Closed-form worst cases of every beam over every victim's ball.
+
+    g (M, K, L) holds the filters and h (M, V, L) the victims' estimated
+    channels. Returns (energy, isi, floor), each (V, K): beam k's ceiling
+    on its response energy at victim v, the same ceiling off the central
+    tap, and the floor on its central-tap power there.
+    """
+    taps = g.shape[-1]
+    G = toeplitz_conv_matrix(g)
+    off = G.copy()
+    off[..., taps - 1, :] = 0.0
+    # spectral norms of every G_i and of G_i without its central row
+    sv = np.linalg.svd(np.stack([G, off]), compute_uv=False)[..., 0]
+    scale = 1.0 / (1.0 - psi)
+    radii = ((np.sqrt(psi) * scale) * np.linalg.norm(h, axis=-1)).T
+    resp = np.einsum("iktl,ivl->vkt", G, h * scale)
+    central = np.abs(resp[..., taps - 1])
+    energy = (np.linalg.norm(resp, axis=-1) + radii @ sv[0]) ** 2
+    resp[..., taps - 1] = 0.0
+    isi = (np.linalg.norm(resp, axis=-1) + radii @ sv[1]) ** 2
+    # ||a_i|| = ||g_i||: the central row is the filter reversed
+    floor = np.maximum(0.0, central - radii @ np.linalg.norm(g, axis=-1)) ** 2
+    return energy, isi, floor
+
+
+def _young(g, h, psi):
+    """Norm-product ceilings (V, K) of beams g (M, K, L) at channels h (M, V, L).
+
+    Per antenna the convolution 2-norm is at most ||g||_1 ||h||_2, the
+    per-antenna amplitudes add, and the largest channel norm the error set
+    admits is ||h_hat|| / (1 - sqrt(psi)).
+    """
+    amp = np.sum(np.linalg.norm(h, axis=-1)[:, :, None]
+                 * np.sum(np.abs(g), axis=-1)[:, None, :], axis=0)
+    return (amp / (1.0 - float(np.sqrt(psi)))) ** 2
+
+
+def _link(g_hat, h_hat):
+    """One link's filters and channel as a single beam and victim."""
+    return (np.asarray(g_hat, dtype=complex)[:, None, :],
+            np.asarray(h_hat, dtype=complex)[:, None, :])
 
 
 def worst_signal_lower(g_hat, h_hat, psi):
-    """Central-tap signal coefficient floor used by the robust allocation.
+    """Exact floor on one link's central-tap signal coefficient.
 
-    The estimated coefficient scaled by 1/(1-sqrt(psi))^2, attained exactly
-    at the anti-aligned boundary error -sqrt(psi)/(1-sqrt(psi)) * h_hat.
-    worst_case_oracle reports the empirical minimum of the same functional
-    next to this closed form.
+    max(0, |sum_i a_i^T c_i| - sum_i r_i ||a_i||)^2 over the shifted
+    balls; when positive it is attained at the boundary channels
+    c_i - (r_i / ||a_i||) e^{j arg sum a^T c} conj(a_i).
     """
     psi = _check_psi(psi)
-    g = np.asarray(g_hat, dtype=complex)
-    h = np.asarray(h_hat, dtype=complex)
-    taps = h.shape[1]
-    amp = complex(sum(np.convolve(g[i], h[i])[taps - 1] for i in range(g.shape[0])))
-    return float(abs(amp) ** 2) / _margin(psi) ** 2
+    return float(_ball_bounds(*_link(g_hat, h_hat), psi)[2][0, 0])
 
 
 def young_upper(g_hat, h_hat, psi):
     """Norm-product ceiling on one link's total response energy.
 
-    Per antenna the convolution 2-norm is at most ||g||_1 ||h||_2, the
-    per-antenna amplitudes add, and the largest channel norm the error set
-    admits is ||h_hat|| / (1 - sqrt(psi)). Squaring the amplitude sum gives
-    the unit-power ceiling; transmit power multiplies it at the call site.
+    Transmit power multiplies this unit-power ceiling at the call site.
     """
     psi = _check_psi(psi)
-    g = np.asarray(g_hat, dtype=complex)
-    h = np.asarray(h_hat, dtype=complex)
-    amp = sum(float(np.linalg.norm(h[i])) * float(np.sum(np.abs(g[i])))
-              for i in range(g.shape[0]))
-    return (amp / _margin(psi)) ** 2
-
-
-def virtual_channel(g_hat_ij, h_hat_ij, psi, tol=1e-10):
-    """Extremal channel of one antenna's response-energy quadratic.
-
-    phi_star is the unit top eigenvector of G^H G for the estimate's banded
-    convolution matrix G, the direction this filter amplifies most; h_star
-    rescales it to the largest norm the error set admits, and lam is the
-    response energy there (top eigenvalue of the scaled quadratic). The
-    global phase is pinned so <h_hat, phi_star> is real and nonnegative,
-    falling back to a largest-entry convention when the estimate is
-    orthogonal to the direction, which keeps downstream cross-term
-    magnitudes reproducible.
-    """
-    psi = _check_psi(psi)
-    g = np.asarray(g_hat_ij, dtype=complex)
-    h = np.asarray(h_hat_ij, dtype=complex)
-    G = toeplitz_conv_matrix(g)
-    nrm = float(np.linalg.norm(h))
-    reach = nrm / _margin(psi)
-    lam, phi = dominant_eigpair(G.conj().T @ G * reach ** 2, tol=tol)
-    ip = complex(np.vdot(h, phi))
-    if abs(ip) > _PHASE_FLOOR * nrm:
-        phi = phi * (ip.conjugate() / abs(ip))
-    else:
-        k = int(np.argmax(np.abs(phi)))
-        if abs(phi[k]) > 0.0:
-            phi = phi * (phi[k].conjugate() / abs(phi[k]))
-    return VirtualChannel(h_star=phi * reach, phi_star=phi, lam=float(lam))
-
-
-def _extremal_responses(g_hat, h_hat, psi, tol=1e-10):
-    """Per-antenna responses g_i * h_star_i, reduced to (energy sum, coherent cross)."""
-    g = np.asarray(g_hat, dtype=complex)
-    h = np.asarray(h_hat, dtype=complex)
-    resp = np.array([
-        np.convolve(g[i], virtual_channel(g[i], h[i], psi, tol=tol).h_star)
-        for i in range(g.shape[0])
-    ])
-    energies = float(np.sum(np.abs(resp) ** 2))
-    coherent = float(np.sum(np.abs(resp.sum(axis=0)) ** 2)) - energies
-    return energies, coherent
+    return float(_young(*_link(g_hat, h_hat), psi)[0, 0])
 
 
 def proposed_upper(g_hat, h_hat, psi):
-    """Extremal-direction ceiling on one link's total response energy.
+    """Shifted-ball ceiling on one link's total response energy.
 
-    Each antenna contributes its worst energy; the cross-antenna terms the
-    per-antenna directions cannot certify are folded through one absolute
-    value. Never exceeds young_upper, since each extremal response obeys
-    the same norm product the other ceiling multiplies out.
+    (||sum_i G_i c_i|| + sum_i r_i ||G_i||_2)^2; never above young_upper,
+    since ||G_i||_2 <= ||g_i||_1 and ||c_i|| + r_i is the largest norm the
+    ball admits.
     """
-    energies, coherent = _extremal_responses(g_hat, h_hat, psi)
-    return energies + abs(coherent)
+    psi = _check_psi(psi)
+    return float(_ball_bounds(*_link(g_hat, h_hat), psi)[0][0, 0])
 
 
 def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     """Worst-case coefficient stack for the femto allocation.
 
     channels_est holds the estimated CIR set and g_hat the TR filters built
-    from it; variant picks the interference ceiling family. psi = 0
-    reproduces the exact-CSI coefficients bit for bit so the downstream
-    solve collapses onto the nominal path. A ceiling that lands below the
-    signal floor is clamped to zero with a warning: the bound pair came
-    from different extremal points and need not be ordered.
+    from it; variant picks the interference ceiling family. Both share the
+    exact signal floor. `proposed` ceilings the ISI directly; `young`
+    ceilings the whole own-link energy and leaves the floor's share of it
+    as ISI. psi = 0 reproduces the exact-CSI coefficients bit for bit so
+    the downstream solve collapses onto the nominal path.
     """
     psi = _check_psi(psi)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
     if float(p_tol) < 0.0 or float(noise) < 0.0:
         raise ValueError("tolerated interference and noise must be nonnegative")
-    h1 = channels_est.h1
-    h10 = channels_est.h10
-    n1 = h1.shape[1]
-    n0 = h10.shape[1]
-    ceiling = proposed_upper if variant == "proposed" else young_upper
-    young = np.array([
-        young_upper(g_hat[:, j, :], h1[:, j, :], psi) for j in range(n1)
-    ])
     if psi == 0.0:
         coupling = femto_coupling(channels_est, g_hat, channels_est.taps)
         pl, pu_isi, pu_co = _femto_coefficients(coupling)
         omega = _femto_leakage(coupling)
         return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
-                            pu_co_coeff=pu_co, omega_coeff=omega,
-                            young_norm=young, psi=psi, variant=variant)
-    pl = np.array([
-        worst_signal_lower(g_hat[:, j, :], h1[:, j, :], psi) for j in range(n1)
-    ])
-    pu_isi = np.empty(n1)
-    for j in range(n1):
-        gap = ceiling(g_hat[:, j, :], h1[:, j, :], psi) - pl[j]
-        if gap < 0.0:
-            warnings.warn(
-                f"interference ceiling fell below the signal floor for user {j}"
-                f" (gap {gap:.3e}); clamping the isi coefficient to zero",
-                RuntimeWarning, stacklevel=2)
-            gap = 0.0
-        pu_isi[j] = gap
-    pu_co = np.zeros((n1, n1))
-    for j in range(n1):
-        for j2 in range(n1):
-            if j2 != j:
-                pu_co[j, j2] = ceiling(g_hat[:, j2, :], h1[:, j, :], psi)
-    omega = np.zeros(n1)
+                            pu_co_coeff=pu_co, omega_coeff=omega, psi=psi,
+                            variant=variant)
+    n0 = channels_est.h10.shape[1]
+    # victims: the MUs the beams leak onto, then the FUs
+    h = np.concatenate([channels_est.h10, channels_est.h1], axis=1)
+    g = np.asarray(g_hat, dtype=complex)
+    energy, isi, floor = _ball_bounds(g, h, psi)
+    pl = np.diagonal(floor[n0:]).copy()
     if variant == "proposed":
-        for j in range(n1):
-            energies = 0.0
-            coherent = 0.0
-            for n in range(n0):
-                e_n, c_n = _extremal_responses(g_hat[:, j, :], h10[:, n, :], psi)
-                energies += e_n
-                coherent += c_n
-            omega[j] = energies + abs(coherent)
+        ceiling = energy
+        pu_isi = np.diagonal(isi[n0:]).copy()
     else:
-        for j in range(n1):
-            omega[j] = sum(
-                young_upper(g_hat[:, j, :], h10[:, n, :], psi) for n in range(n0))
+        ceiling = _young(g, h, psi)
+        pu_isi = np.diagonal(ceiling[n0:]) - pl
+    pu_co = ceiling[n0:].copy()
+    np.fill_diagonal(pu_co, 0.0)
     return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi, pu_co_coeff=pu_co,
-                        omega_coeff=omega, young_norm=young, psi=psi,
+                        omega_coeff=ceiling[:n0].sum(axis=0), psi=psi,
                         variant=variant)
 
 
@@ -288,7 +244,7 @@ def worst_case_oracle(g_hat, h_hat, psi, n_probes=2000, n_ascent=60, rng=None):
     g = np.asarray(g_hat, dtype=complex)
     h = np.asarray(h_hat, dtype=complex)
     m, taps = h.shape
-    mats = np.stack([toeplitz_conv_matrix(g[i]) for i in range(m)])
+    mats = toeplitz_conv_matrix(g)
     central_rows = mats[:, taps - 1, :].copy()
 
     def energy_of(errors):

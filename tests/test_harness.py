@@ -9,9 +9,11 @@ import pytest
 from hetnet_tr.beamform import design_beamformers, tr_beamformer_cirs
 from hetnet_tr.channel import ScenarioConfig
 from hetnet_tr.errors import ConfigError, InfeasibleError
+from hetnet_tr import harness
 from hetnet_tr.harness import (
     EXPERIMENTS,
     ExperimentSpec,
+    _ball_statistics,
     _bound_tightness_trial,
     _draw_scenario,
     _fu_outage_trial,
@@ -28,7 +30,11 @@ from hetnet_tr.power import (
     solve_centralized,
     solve_proposed,
 )
-from hetnet_tr.robust import assemble_bounds, solve_robust
+from hetnet_tr.robust import (
+    assemble_bounds,
+    sample_true_channels,
+    solve_robust,
+)
 
 
 def spec_for(name, tmp_path, trials=2, sweep=None, seed=5):
@@ -149,7 +155,8 @@ class TestTrialFunctions:
             v = dict(r.values)
             assert v["young_w"] >= v["proposed_w"]
             assert v["gap_db"] >= 0.0
-            assert v["oracle_min_w"] <= v["floor_w"]
+            assert v["oracle_min_w"] >= v["floor_w"] * (1 - 1e-12)
+            assert v["oracle_max_w"] <= v["proposed_w"]
             assert v["oracle_max_w"] > 0.0
 
     def test_fu_outage_columns(self):
@@ -211,6 +218,44 @@ class TestRobustStacks:
                     want = float("nan")
                 assert np.array_equal(v[f"power_{variant}_w"], want,
                                       equal_nan=True)
+
+
+    def test_stacks_built_once_per_psi(self, monkeypatch):
+        """Every gamma_f of a psi reuses that psi's two stacks."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[2], kwargs["variant"]))
+            return assemble_bounds(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "assemble_bounds", counting)
+        points = [{"psi": psi, "gamma_f_db": gf}
+                  for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
+        _fu_outage_trial(0, ScenarioConfig(), points, {"error_draws": 5}, 5)
+        assert sorted(calls) == [(0.02, "proposed"), (0.02, "young"),
+                                 (0.04, "proposed"), (0.04, "young")]
+
+    def test_ball_statistics_match_convolutions(self):
+        """The one-product responses equal per-beam convolutions."""
+        cfg = ScenarioConfig()
+        channels, _ = _draw_scenario(cfg, 5, 0)
+        g = tr_beamformer_cirs(channels.h1)
+        M, n1, taps = g.shape
+        stats = _ball_statistics(channels.h1, g, 0.04,
+                                 np.random.default_rng(3), 4)
+        rng = np.random.default_rng(3)
+        for j in range(n1):
+            truths = sample_true_channels(channels.h1[:, j, :], 0.04, rng,
+                                          count=4)
+            tot, main = stats[j]
+            for p, truth in enumerate(truths):
+                for k in range(n1):
+                    r = sum(np.convolve(g[i, k], truth[i]) for i in range(M))
+                    assert tot[p, k] == pytest.approx(
+                        float(np.sum(np.abs(r) ** 2)), rel=1e-12)
+                    if k == j:
+                        assert main[p] == pytest.approx(
+                            abs(r[taps - 1]) ** 2, rel=1e-12)
 
 
 class TestWorkerCount:

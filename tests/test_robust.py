@@ -4,25 +4,33 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import crandn, designed_scenario
 
-from hetnet_tr.channel import ChannelSet
+from hetnet_tr.channel import ChannelSet, ScenarioConfig
 from hetnet_tr.errors import InfeasibleError
-from hetnet_tr.power import build_femto_lp, solve_femto
+from hetnet_tr.harness import _bound_tightness_trial
+from hetnet_tr.linops import toeplitz_conv_matrix
+from hetnet_tr.power import (
+    _femto_coefficients,
+    _femto_leakage,
+    build_femto_lp,
+    solve_femto,
+)
 from hetnet_tr.robust import (
     RobustBounds,
-    VirtualChannel,
     WorstCaseExtrema,
     assemble_bounds,
     proposed_upper,
     sample_true_channels,
     solve_robust,
-    virtual_channel,
     worst_case_oracle,
     worst_signal_lower,
     young_upper,
 )
+from hetnet_tr.sinr import femto_coupling
 
 PSI = 0.04
 
@@ -37,6 +45,20 @@ def response(g, h):
     return sum(np.convolve(g[i], h[i]) for i in range(g.shape[0]))
 
 
+def ball(h, psi):
+    """Center and radius of each antenna's admissible true channels."""
+    radius = np.sqrt(psi) * np.linalg.norm(h, axis=1) / (1.0 - psi)
+    return h / (1.0 - psi), radius
+
+
+def floor_probe(g, h, psi):
+    """The boundary channels at which the central-tap amplitude is smallest."""
+    a = g[:, ::-1]
+    c, r = ball(h, psi)
+    phase = np.exp(1j * np.angle(np.sum(a * c)))
+    return c - (r / np.linalg.norm(a, axis=1))[:, None] * phase * a.conj()
+
+
 class TestWorstSignalLower:
     def test_zero_error_matches_estimate(self):
         """psi=0 returns the estimated central-tap coefficient."""
@@ -45,35 +67,41 @@ class TestWorstSignalLower:
         assert worst_signal_lower(g, h, 0.0) == pytest.approx(est, rel=1e-12)
 
     def test_scaling_factor(self):
-        """psi=0.04 scales the estimate-side coefficient by exactly 1/0.8^2."""
+        """Center amplitude and radius both scale by 1/(1-psi)."""
         g, h = femto_link(seed=4)
-        base = worst_signal_lower(g, h, 0.0)
-        assert worst_signal_lower(g, h, PSI) == pytest.approx(
-            base * 1.5625, rel=1e-12)
+        amp = abs(response(g, h)[h.shape[1] - 1])
+        reach = np.sqrt(PSI) * float(np.sum(np.linalg.norm(h, axis=1)
+                                            * np.linalg.norm(g, axis=1)))
+        want = ((amp - reach) / (1.0 - PSI)) ** 2
+        assert worst_signal_lower(g, h, PSI) == pytest.approx(want, rel=1e-12)
 
     def test_unit_estimate_single_antenna(self):
-        """Matched filter on a unit-norm single-antenna estimate gives 1/(1-sqrt(psi))^2."""
+        """Matched filter on a unit-norm single-antenna estimate gives 1/(1+sqrt(psi))^2."""
         rng = np.random.default_rng(11)
         h = crandn(rng, 1, 6)
         h /= np.linalg.norm(h)
         g = np.conj(h[:, ::-1])
         assert worst_signal_lower(g, h, PSI) == pytest.approx(
-            1.0 / (1.0 - np.sqrt(PSI)) ** 2, rel=1e-12)
+            1.0 / (1.0 + np.sqrt(PSI)) ** 2, rel=1e-12)
 
     def test_attained_at_anti_aligned_boundary(self):
-        """The floor equals the true coefficient at e = -sqrt(psi)/(1-sqrt(psi)) h."""
+        """The floor equals the true coefficient at the boundary point whose
+        central-tap amplitude is anti-aligned with the center's."""
         for seed in range(6):
             g, h = femto_link(seed=seed, j=seed % 2)
-            truth = h / (1.0 - np.sqrt(PSI))
+            truth = floor_probe(g, h, PSI)
+            err = np.linalg.norm(h - truth, axis=1) ** 2
+            assert (err <= PSI * np.linalg.norm(truth, axis=1) ** 2
+                    * (1 + 1e-9)).all()
             attained = abs(response(g, truth)[h.shape[1] - 1]) ** 2
             assert attained == pytest.approx(
                 worst_signal_lower(g, h, PSI), rel=1e-10)
 
-    def test_nondecreasing_in_psi(self):
-        """Larger error fractions never lower the coefficient."""
+    def test_nonincreasing_in_psi(self):
+        """Larger error fractions never raise the floor."""
         g, h = femto_link(seed=5)
         vals = [worst_signal_lower(g, h, p) for p in (0.0, 0.01, 0.04, 0.16)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_psi(self):
         """Error fractions outside [0, 1) are refused."""
@@ -114,71 +142,23 @@ class TestYoungUpper:
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-class TestVirtualChannel:
-    def test_invariants(self):
-        """Unit direction, ball-radius norm, pinned phase, self-consistent gain."""
-        g, h = femto_link(seed=9)
-        vc = virtual_channel(g[2], h[2], PSI)
-        assert isinstance(vc, VirtualChannel)
-        assert np.linalg.norm(vc.phi_star) == pytest.approx(1.0, rel=1e-12)
-        assert np.linalg.norm(vc.h_star) == pytest.approx(
-            np.linalg.norm(h[2]) / (1.0 - np.sqrt(PSI)), rel=1e-12)
-        ip = np.vdot(h[2], vc.phi_star)
-        assert ip.real >= 0.0 and abs(ip.imag) <= 1e-9 * abs(ip)
-        energy = float(np.sum(np.abs(np.convolve(g[2], vc.h_star)) ** 2))
-        assert energy == pytest.approx(vc.lam, rel=1e-10)
-
-    def test_matches_dense_eigensolver(self):
-        """lam agrees with the full spectrum of the scaled quadratic."""
-        from hetnet_tr.linops import toeplitz_conv_matrix
-
-        g, h = femto_link(seed=10)
-        vc = virtual_channel(g[0], h[0], PSI)
-        G = toeplitz_conv_matrix(g[0])
-        scale = (np.linalg.norm(h[0]) / (1.0 - np.sqrt(PSI))) ** 2
-        lam_dense = np.linalg.eigvalsh(G.conj().T @ G * scale)[-1]
-        assert vc.lam == pytest.approx(lam_dense, rel=1e-9)
-
-    def test_isometric_filter(self):
-        """A leading delta filter passes the whole ball radius through."""
-        g = np.zeros(6, dtype=complex)
-        g[0] = 1.0
-        rng = np.random.default_rng(12)
-        h = crandn(rng, 6)
-        vc = virtual_channel(g, h, PSI)
-        want = (np.linalg.norm(h) / (1.0 - np.sqrt(PSI))) ** 2
-        assert vc.lam == pytest.approx(want, rel=1e-10)
-        energy = float(np.sum(np.abs(np.convolve(g, vc.h_star)) ** 2))
-        assert energy == pytest.approx(want, rel=1e-10)
-
-    def test_random_probe_maximality(self):
-        """No equal-norm probe beats the extremal direction's response energy."""
-        g, h = femto_link(seed=13)
-        vc = virtual_channel(g[1], h[1], PSI)
-        rng = np.random.default_rng(130)
-        reach = np.linalg.norm(h[1]) / (1.0 - np.sqrt(PSI))
-        for _ in range(10_000):
-            x = crandn(rng, h.shape[1])
-            x *= reach / np.linalg.norm(x)
-            assert float(np.sum(np.abs(np.convolve(g[1], x)) ** 2)) \
-                <= vc.lam * (1.0 + 1e-9)
-
-    def test_zero_error_keeps_estimate_norm(self):
-        """psi=0 shrinks the reach to the estimate's own norm."""
-        g, h = femto_link(seed=14)
-        vc = virtual_channel(g[3], h[3], 0.0)
-        assert np.linalg.norm(vc.h_star) == pytest.approx(
-            np.linalg.norm(h[3]), rel=1e-12)
-
-
 class TestProposedUpper:
-    def test_single_antenna_is_the_eigen_gain(self):
-        """One antenna leaves no cross terms: bound equals the extremal energy."""
+    def test_single_antenna_closed_form(self):
+        """One antenna: (||G c|| + r ||G||_2)^2 with a dense spectral norm."""
         g, h = femto_link(seed=15)
-        one_g, one_h = g[:1], h[:1]
-        vc = virtual_channel(one_g[0], one_h[0], PSI)
-        assert proposed_upper(one_g, one_h, PSI) == pytest.approx(
-            vc.lam, rel=1e-10)
+        G = toeplitz_conv_matrix(g[0])
+        c, r = ball(h[:1], PSI)
+        want = (np.linalg.norm(G @ c[0]) + r[0] * np.linalg.norm(G, 2)) ** 2
+        assert proposed_upper(g[:1], h[:1], PSI) == pytest.approx(
+            want, rel=1e-12)
+
+    def test_ceilings_sampled_true_energy(self):
+        """The bound dominates the response energy at sampled admissible channels."""
+        g, h = femto_link(seed=7)
+        bound = proposed_upper(g, h, PSI)
+        rng = np.random.default_rng(71)
+        for truth in sample_true_channels(h, PSI, rng, count=200):
+            assert float(np.sum(np.abs(response(g, truth)) ** 2)) <= bound
 
     def test_never_exceeds_norm_product_bound(self):
         """The extremal-direction ceiling is the tighter of the two families."""
@@ -204,23 +184,17 @@ class TestAssembleBounds:
     def test_shapes_and_nonnegativity(self):
         """Coefficient stack is complete, nonnegative, with a zero co diagonal."""
         cfg, geo, ch, beams = designed_scenario(seed=0, n1=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
+        b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
         assert isinstance(b, RobustBounds)
         assert b.pl_sig_coeff.shape == (2,) and b.pu_isi_coeff.shape == (2,)
         assert b.pu_co_coeff.shape == (2, 2) and b.omega_coeff.shape == (2,)
-        assert b.young_norm.shape == (2,)
         for arr in (b.pl_sig_coeff, b.pu_isi_coeff, b.pu_co_coeff,
-                    b.omega_coeff, b.young_norm):
+                    b.omega_coeff):
             assert (arr >= 0.0).all()
         assert b.pu_co_coeff[0, 0] == 0.0 and b.pu_co_coeff[1, 1] == 0.0
 
     def test_zero_error_collapses_to_estimate_coefficients(self):
         """psi=0 reuses the exact-CSI coefficient routine verbatim."""
-        from hetnet_tr.power import _femto_coefficients
-        from hetnet_tr.sinr import femto_coupling
-
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
         b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
         sig, isi, co = _femto_coefficients(
@@ -229,36 +203,41 @@ class TestAssembleBounds:
         assert np.array_equal(b.pu_isi_coeff, isi)
         assert np.array_equal(b.pu_co_coeff, co)
 
-    def test_ceiling_below_floor_is_clamped_with_warning(self):
-        """An inverted floor/ceiling pair zeroes the isi slot and warns."""
-        cfg, geo, ch, beams = designed_scenario(seed=0, n1=2)
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
-        assert (b.pu_isi_coeff == 0.0).any()
+    def test_stack_builds_without_warnings(self):
+        """Floor and ceilings come from one geometry: nothing to clamp or warn."""
+        for seed in range(4):
+            cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
+            for variant in ("proposed", "young"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol,
+                                        cfg.noise_power, variant=variant)
+                assert (b.pu_isi_coeff > 0.0).all()
 
     def test_young_variant_dominates_entrywise(self):
         """Swapping in the norm-product family never tightens any slot."""
         cfg, geo, ch, beams = designed_scenario(seed=2, n1=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bp = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
-                                 variant="proposed")
-            by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
-                                 variant="young")
+        bp = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
+                             variant="proposed")
+        by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
+                             variant="young")
         assert np.array_equal(bp.pl_sig_coeff, by.pl_sig_coeff)
         assert (by.pu_isi_coeff >= bp.pu_isi_coeff).all()
         assert (by.pu_co_coeff >= bp.pu_co_coeff).all()
         assert (by.omega_coeff >= bp.omega_coeff).all()
 
     def test_young_norm_records_own_link_bounds(self):
-        """The reference column holds each FU's own norm-product ceiling."""
+        """The young stack holds each link's norm-product ceiling: the own
+        link split into floor and ISI, the others as co-channel slots."""
         cfg, geo, ch, beams = designed_scenario(seed=3, n1=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
+        b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
+                            variant="young")
         for j in range(2):
-            assert b.young_norm[j] == pytest.approx(
-                young_upper(beams.g[:, j, :], ch.h1[:, j, :], PSI), rel=1e-12)
+            for j2 in range(2):
+                ceiling = young_upper(beams.g[:, j2, :], ch.h1[:, j, :], PSI)
+                got = (b.pl_sig_coeff[j] + b.pu_isi_coeff[j] if j == j2
+                       else b.pu_co_coeff[j, j2])
+                assert got == pytest.approx(ceiling, rel=1e-12)
 
     def test_silent_cross_tier_means_zero_weights(self):
         """No femto-to-macro leakage channel leaves the objective weights at zero."""
@@ -266,11 +245,10 @@ class TestAssembleBounds:
         quiet = ChannelSet(h0=ch.h0, h1=ch.h1,
                            h10=np.zeros_like(ch.h10), h01=ch.h01)
         for psi in (0.0, PSI):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            for variant in ("proposed", "young"):
                 b = assemble_bounds(quiet, beams.g, psi, cfg.p_tol,
-                                    cfg.noise_power)
-            assert (b.omega_coeff == 0.0).all()
+                                    cfg.noise_power, variant=variant)
+                assert (b.omega_coeff == 0.0).all()
 
     def test_rejects_unknown_variant(self):
         """Only the two ceiling families are accepted."""
@@ -295,39 +273,34 @@ class TestSolveRobust:
     def test_worst_case_constraints_active(self):
         """Every floor/ceiling SINR constraint is met with equality."""
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
-        p = solve_robust(b, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        gamma = 10.0 ** (-0.6)
+        b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
+        p = solve_robust(b, gamma, cfg.p_tol, cfg.noise_power)
         assert (p > 0.0).all()
         for j in range(2):
             den = (b.pu_isi_coeff[j] * p[j] + b.pu_co_coeff[j] @ p
                    + cfg.p_tol + cfg.noise_power)
             assert b.pl_sig_coeff[j] * p[j] == pytest.approx(
-                cfg.gamma_f * den, rel=1e-8)
+                gamma * den, rel=1e-8)
 
     def test_norm_product_family_needs_lower_targets(self):
         """The looser ceilings are infeasible at the default target on this draw."""
         cfg, geo, ch, beams = designed_scenario(seed=0, n1=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
-                                 variant="young")
+        by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power,
+                             variant="young")
         with pytest.raises(InfeasibleError) as err:
             solve_robust(by, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         assert err.value.stage == "robust"
 
     def test_tighter_family_spends_less_power(self):
         """Where both families are feasible the tighter ceilings never cost more."""
-        gamma_low = 10.0 ** (-0.6)
+        gamma_low = 10.0 ** (-1.0)
         for seed in (0, 1, 2, 4):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                bp = assemble_bounds(ch, beams.g, PSI, cfg.p_tol,
-                                     cfg.noise_power, variant="proposed")
-                by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol,
-                                     cfg.noise_power, variant="young")
+            bp = assemble_bounds(ch, beams.g, PSI, cfg.p_tol,
+                                 cfg.noise_power, variant="proposed")
+            by = assemble_bounds(ch, beams.g, PSI, cfg.p_tol,
+                                 cfg.noise_power, variant="young")
             pp = solve_robust(bp, gamma_low, cfg.p_tol, cfg.noise_power)
             py = solve_robust(by, gamma_low, cfg.p_tol, cfg.noise_power)
             assert (pp <= py * (1 + 1e-12)).all()
@@ -337,8 +310,7 @@ class TestSolveRobust:
         b = RobustBounds(pl_sig_coeff=np.array([1.0]),
                          pu_isi_coeff=np.array([2.0]),
                          pu_co_coeff=np.zeros((1, 1)),
-                         omega_coeff=np.array([1.0]),
-                         young_norm=np.array([3.0]), psi=PSI,
+                         omega_coeff=np.array([1.0]), psi=PSI,
                          variant="proposed")
         with pytest.raises(InfeasibleError) as err:
             solve_robust(b, 1.0, 1e-4, 1e-12)
@@ -375,11 +347,14 @@ class TestWorstCaseOracle:
             central = abs(response(g, truth)[h.shape[1] - 1]) ** 2
             assert wc.min_central <= central * (1 + 1e-12)
 
-    def test_min_undercuts_closed_form_floor(self):
-        """The empirical minimum sits below the closed-form signal floor."""
+    def test_min_respects_closed_form_floor(self):
+        """The empirical minimum never undercuts the exact signal floor.
+
+        The search can reach the floor itself, so the slack is rounding.
+        """
         g, h = femto_link(seed=19)
         wc = worst_case_oracle(g, h, PSI, n_probes=800, n_ascent=40)
-        assert wc.min_central < worst_signal_lower(g, h, PSI)
+        assert wc.min_central >= worst_signal_lower(g, h, PSI) * (1 - 1e-12)
 
     def test_counts_all_evaluations(self):
         """Probe accounting covers the fixed probes plus requested samples."""
@@ -395,6 +370,93 @@ class TestWorstCaseOracle:
         b = worst_case_oracle(g, h, PSI, n_probes=200, n_ascent=10)
         assert a.max_energy == b.max_energy
         assert a.min_central == b.min_central
+
+
+class TestOracleAudit:
+    def test_bound_tightness_draws(self):
+        """60 bound-tightness draws x psi in {0.01, 0.04, 0.1}: the searched
+        minimum never undercuts the floor and the searched maximum never
+        exceeds either ceiling. Slack 1e-12 is rounding: the search reaches
+        the exact floor to within about 1e-15."""
+        cfg = ScenarioConfig()
+        points = [{"psi": psi} for psi in (0.01, 0.04, 0.1)]
+        bad = []
+        for trial in range(60):
+            for row in _bound_tightness_trial(trial, cfg, points, {}, 12345):
+                v = dict(row.values)
+                if v["oracle_min_w"] < v["floor_w"] * (1 - 1e-12) or \
+                        v["oracle_max_w"] > v["proposed_w"] * (1 + 1e-12) or \
+                        v["oracle_max_w"] > v["young_w"] * (1 + 1e-12):
+                    bad.append((trial, row.sweep))
+        assert bad == []
+
+
+def random_link_set(seed, m, n0, n1, taps):
+    """Random estimated channels and femto filters of arbitrary shape."""
+    rng = np.random.default_rng(seed)
+    ch = ChannelSet(h0=crandn(rng, m, n0, taps), h1=crandn(rng, m, n1, taps),
+                    h10=crandn(rng, m, n0, taps), h01=crandn(rng, m, n1, taps))
+    return ch, crandn(rng, m, n1, taps), rng
+
+
+LINK_SETS = dict(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+                 n0=st.integers(1, 2), n1=st.integers(1, 3),
+                 taps=st.integers(1, 6))
+
+
+class TestBallProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(psi=st.floats(0.001, 0.5), **LINK_SETS)
+    def test_sampled_channels_within_bounds(self, seed, m, n0, n1, taps, psi):
+        """Floor <= sampled signal; sampled ISI, co-channel and leakage
+        energies <= their ceilings, in both stacks."""
+        ch, g, rng = random_link_set(seed, m, n0, n1, taps)
+        stacks = [assemble_bounds(ch, g, psi, 1e-4, 1e-12, variant=v)
+                  for v in ("proposed", "young")]
+        G = toeplitz_conv_matrix(g)
+
+        def energies(truths):
+            resp = np.einsum("iktl,pil->pkt", G, truths)
+            return np.sum(np.abs(resp) ** 2, axis=2), resp
+
+        leak = sum(energies(sample_true_channels(ch.h10[:, n, :], psi, rng,
+                                                 count=200))[0]
+                   for n in range(n0))
+        for b in stacks:
+            assert (leak <= b.omega_coeff * (1 + 1e-9)).all()
+        for j in range(n1):
+            energy, resp = energies(sample_true_channels(ch.h1[:, j, :], psi,
+                                                         rng, count=200))
+            central = np.abs(resp[:, j, taps - 1]) ** 2
+            isi = energy[:, j] - central
+            co = np.delete(energy, j, axis=1)
+            for b in stacks:
+                assert (central >= b.pl_sig_coeff[j] * (1 - 1e-9)).all()
+                assert (isi <= b.pu_isi_coeff[j] * (1 + 1e-9)
+                        + 1e-12 * energy[:, j]).all()
+                assert (co <= np.delete(b.pu_co_coeff[j], j)
+                        * (1 + 1e-9)).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**LINK_SETS)
+    def test_zero_error_is_nominal_stack(self, seed, m, n0, n1, taps):
+        """psi = 0 gives the nominal stack bit for bit, and the ball
+        closed forms tend to it as psi shrinks."""
+        ch, g, _ = random_link_set(seed, m, n0, n1, taps)
+        coupling = femto_coupling(ch, g, ch.taps)
+        sig, isi, co = _femto_coefficients(coupling)
+        omega = _femto_leakage(coupling)
+        scale = float(np.max(coupling.energy))
+        for variant in ("proposed", "young"):
+            b = assemble_bounds(ch, g, 0.0, 1e-4, 1e-12, variant=variant)
+            for got, want in ((b.pl_sig_coeff, sig), (b.pu_isi_coeff, isi),
+                              (b.pu_co_coeff, co), (b.omega_coeff, omega)):
+                assert np.array_equal(got, want)
+        near = assemble_bounds(ch, g, 1e-20, 1e-4, 1e-12, variant="proposed")
+        for got, want in ((near.pl_sig_coeff, sig), (near.pu_isi_coeff, isi),
+                          (near.pu_co_coeff, co), (near.omega_coeff, omega)):
+            np.testing.assert_allclose(got, want, rtol=1e-6,
+                                       atol=1e-9 * scale)
 
 
 class TestSampleTrueChannels:
