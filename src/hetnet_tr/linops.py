@@ -14,6 +14,17 @@ _RANK_RCOND = 1e-12
 _HERMITIAN_TOL = 1e-10
 
 
+def convolve(a, b):
+    """Full linear convolution of two 1-D vectors (length |a|+|b|-1)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError("convolve expects 1-D vectors")
+    if a.size == 0 or b.size == 0:
+        raise ValueError("convolve got an empty vector")
+    return np.convolve(a, b)
+
+
 def sylvester_matrix(h_rows, L):
     """Banded (2L-1) x (M*L) matrix mapping stacked filter taps to received taps.
 

@@ -5,6 +5,7 @@ import pytest
 
 from hetnet_tr.errors import NumericalError
 from hetnet_tr.linops import (
+    convolve,
     dominant_eigpair,
     pseudo_inverse,
     spectral_radius,
@@ -26,6 +27,42 @@ def conv_oracle(a, b):
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestConvolve:
+    def test_delta_is_identity(self):
+        c = np.arange(6.0)
+        np.testing.assert_array_equal(convolve([1.0], c), c)
+
+    def test_zero_annihilates(self):
+        out = convolve(np.zeros(4), np.ones(3))
+        assert out.shape == (6,)
+        assert not out.any()
+
+    def test_small_case_by_hand(self):
+        np.testing.assert_array_equal(convolve([1, 2], [3, 4]), [3, 10, 8])
+
+    def test_matches_double_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a = crandn(rng, int(rng.integers(1, 9)))
+            b = crandn(rng, int(rng.integers(1, 9)))
+            np.testing.assert_allclose(convolve(a, b), conv_oracle(a, b),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_commutative_and_bilinear(self):
+        rng = np.random.default_rng(8)
+        a, b, c = crandn(rng, 5), crandn(rng, 6), crandn(rng, 6)
+        np.testing.assert_allclose(convolve(a, b), convolve(b, a), rtol=1e-12)
+        np.testing.assert_allclose(convolve(a, 2.0 * b + c),
+                                   2.0 * convolve(a, b) + convolve(a, c),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            convolve([], [1.0])
+        with pytest.raises(ValueError):
+            convolve([1.0], [])
 
 
 class TestSylvesterMatrix:
