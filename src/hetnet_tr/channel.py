@@ -97,7 +97,6 @@ class ScenarioConfig:
     exp_femto: float = EXP_FEMTO
     exp_cross: float = EXP_CROSS
     psi: float = 0.0
-    xi: float = 0.0
     seed: int = 12345
 
     @property
@@ -126,8 +125,8 @@ class ScenarioConfig:
                 "macro ZF needs M0*L >= (2L-1)*N0; got "
                 f"{self.m0}*{self.taps} < {2 * self.taps - 1}*{self.n0}"
             )
-        if not (0.0 <= self.psi < 1.0) or not (0.0 <= self.xi < 1.0):
-            raise ConfigError("error factors psi and xi must lie in [0, 1)")
+        if not 0.0 <= self.psi < 1.0:
+            raise ConfigError("error factor psi must lie in [0, 1)")
         if self.noise_power <= 0.0:
             raise ConfigError("noise_power must be positive")
         if min(self.d_macro, self.d_femto, self.d_mbs_fbs) <= 0.0:

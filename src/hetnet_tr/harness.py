@@ -32,7 +32,7 @@ from .robust import (
     worst_signal_lower,
     young_upper,
 )
-from .sinr import couple, coupling_terms, femto_coupling
+from .sinr import couple, coupling_terms, femto_coupling, victim_sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +222,6 @@ def _mu_outage_trial(trial, cfg, points, extra, seed):
     return rows
 
 
-def _focused_sinrs(terms, powers, floor, noise):
-    """Per-user SINR against a fixed cross-tier floor.
-
-    terms is coupling_terms of the users' own filters and channels,
-    sampled at the chosen taps.
-    """
-    energy, signal = terms
-    n = signal.shape[0]
-    out = np.empty(n)
-    for j in range(n):
-        main = signal[j]
-        sig = powers[j] * main
-        isi = powers[j] * (energy[j, j] - main)
-        co = 0.0
-        for j2 in range(n):
-            if j2 != j:
-                co += powers[j2] * energy[j, j2]
-        out[j] = sig / (isi + co + floor + noise)
-    return out
-
-
 def _tr_vs_zf_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
     h1 = channels.h1
@@ -254,8 +233,9 @@ def _tr_vs_zf_trial(trial, cfg, points, extra, seed):
     rows = []
     for pt in points:
         powers = np.full(n1, _dbm(pt["p_dbm"]))
-        s_tr = _focused_sinrs(tr_terms, powers, cfg.p_tol, cfg.noise_power)
-        s_zf = _focused_sinrs(zf_terms, powers, cfg.p_tol, cfg.noise_power)
+        # one tier alone, against the tolerated cross-tier floor
+        s_tr = victim_sinrs(*tr_terms, powers, 0, cfg.noise_power, cfg.p_tol)
+        s_zf = victim_sinrs(*zf_terms, powers, 0, cfg.noise_power, cfg.p_tol)
         # dB per trial so the summary mean is tail-robust (geometric)
         rows.append(_record(trial, pt, keys,
                             (float(10.0 * np.log10(np.mean(s_tr))),
@@ -317,12 +297,15 @@ def _robust_designs(channels, coupling, stacks, gamma_f, cfg):
 
 
 def _design_row(designs):
-    powers = [float(np.sum(designs[k])) if designs[k] is not None
-              else float("nan")
-              for k in ("nonrobust", "proposed", "young")]
-    flags = [1.0 if designs[k] is not None else 0.0
-             for k in ("nonrobust", "proposed", "young")]
-    return powers, flags
+    """(powers, flags, feasible) over the three designs.
+
+    A row is feasible only when all three designs solve.
+    """
+    labels = ("nonrobust", "proposed", "young")
+    solved = [designs[k] is not None for k in labels]
+    powers = [float(np.sum(designs[k])) if ok else float("nan")
+              for k, ok in zip(labels, solved)]
+    return powers, [1.0 if ok else 0.0 for ok in solved], all(solved)
 
 
 def _ball_statistics(h1, g, psi, rng, draws):
@@ -381,9 +364,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
                 achieved = sig / (isi + co + floor)
                 miss += int(np.count_nonzero(achieved < gf * (1.0 - 1e-6)))
             outages.append(miss / float(draws * n1))
-        powers, flags = _design_row(designs)
-        feasible = all(designs[k] is not None
-                       for k in ("nonrobust", "proposed", "young"))
+        powers, flags, feasible = _design_row(designs)
         rows.append(_record(trial, pt, keys,
                             (*outages, *powers, *flags), feasible))
     return rows
@@ -402,9 +383,7 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
         if psi not in per_psi:
             per_psi[psi] = _robust_stacks(channels, g, psi, cfg)
         designs = _robust_designs(channels, femto, per_psi[psi], gf, cfg)
-        powers, flags = _design_row(designs)
-        feasible = all(designs[k] is not None
-                       for k in ("nonrobust", "proposed", "young"))
+        powers, flags, feasible = _design_row(designs)
         rows.append(_record(trial, pt, keys, (*powers, *flags), feasible))
     return rows
 

@@ -116,8 +116,8 @@ def dominant_eigpair(A, tol=1e-10, max_iter=200_000):
 def spectral_radius(A):
     """Perron root of an entrywise-nonnegative square matrix.
 
-    Computed from the full eigenvalue set: the interference systems this
-    gates are small, and entries can span twenty orders of magnitude, so
+    Computed from the full eigenvalue set: the interference systems it
+    measures are small, and entries can span twenty orders of magnitude, so
     the balanced dense solve is both exact enough and immune to the tiny
     spectral gaps that stall iterative schemes on cyclic couplings like
     [[0,a],[b,0]].

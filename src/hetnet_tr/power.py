@@ -12,6 +12,13 @@ meets the tightest cap.
 
 Centralized reference: all N0+N1 SINR constraints stacked into one linear
 fixed point, solved exactly; it lower-bounds the two-step scheme's power.
+
+The femto, robust (robust.solve_robust) and centralized fixed points share
+one solve, which is also their feasibility test: with DB >= 0 and Dz > 0,
+(I - DB) p = Dz has a nonnegative solution exactly when the spectral
+radius of DB is below one (the M-matrix characterization), and that
+solution is then positive. The sign of the solution is the certificate,
+so no eigenvalue is computed.
 """
 
 from dataclasses import dataclass
@@ -20,8 +27,7 @@ import numpy as np
 
 from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
-from .linops import spectral_radius
-from .sinr import couple, femto_coupling, macro_coupling, sinr
+from .sinr import couple, femto_coupling, macro_coupling, victim_sinrs
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,10 @@ class FemtoLp:
     diagonal (d_diag) multiplies it inside the solve.
     """
 
-    eta_hat: np.ndarray
-    eta: np.ndarray
     b_matrix: np.ndarray
     d_diag: np.ndarray
     phi: np.ndarray
     z: np.ndarray
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,23 @@ def _femto_coefficients(coupling):
 
 def _femto_leakage(coupling):
     """Per-unit-power energy each TR beam leaks onto all MUs together."""
-    leak = np.zeros(coupling.n1)
-    for row in coupling.energy[:coupling.n0, coupling.femto]:
-        leak += row
-    return leak
+    return coupling.energy[:coupling.n0, coupling.femto].sum(axis=0)
+
+
+def _target_margins(gamma, sig, isi, stage):
+    """(d, phi) with phi = sig - gamma*isi and d = gamma/phi, per user.
+
+    phi is the signal a unit of power keeps above its own ISI at the SINR
+    target; where it is not positive no power meets the target, and
+    InfeasibleError(stage) is raised.
+    """
+    phi = sig - gamma * isi
+    if (phi <= 0.0).any():
+        bad = int(np.argmin(phi))
+        raise InfeasibleError(
+            stage, f"SINR target unreachable at any power for user {bad} "
+            f"(phi={phi[bad]:.3e})")
+    return gamma / phi, phi
 
 
 def build_femto_lp(channels, g, gamma_f, p_tol, noise, coupling=None):
@@ -97,40 +113,32 @@ def build_femto_lp(channels, g, gamma_f, p_tol, noise, coupling=None):
     N = coupling.n1
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
     sig, isi, B = _femto_coefficients(coupling)
-    phi = sig - gamma * isi
-    if (phi <= 0.0).any():
-        bad = int(np.argmin(phi))
-        raise InfeasibleError(
-            "femto",
-            f"SINR target unreachable at any power for user {bad} "
-            f"(phi={phi[bad]:.3e})",
-        )
-    eta_hat = _femto_leakage(coupling)
-    nrm = float(np.linalg.norm(eta_hat))
-    eta = eta_hat / nrm if nrm > 0.0 else eta_hat.copy()
-    d = gamma / phi
-    z = np.full(N, p_tol + noise)
-    rho = spectral_radius(d[:, None] * B)
-    return FemtoLp(eta_hat=eta_hat, eta=eta, b_matrix=B, d_diag=d, phi=phi,
-                   z=z, rho=rho)
+    d, phi = _target_margins(gamma, sig, isi, "femto")
+    return FemtoLp(b_matrix=B, d_diag=d, phi=phi, z=np.full(N, p_tol + noise))
 
 
-def _solve_interference_lp(d_diag, b_matrix, z):
-    """Minimal solution of p >= D(Bp + z): the exact fixed point (I-DB)^-1 Dz."""
+def _solve_interference_lp(d_diag, b_matrix, z, stage):
+    """Minimal solution of p >= D(Bp + z): the exact fixed point (I-DB)^-1 Dz.
+
+    DB must be nonnegative and Dz positive. The fixed point exists exactly
+    when the solve returns a finite, positive p; a singular system or any
+    other solution raises InfeasibleError(stage).
+    """
     n = z.shape[0]
     A = np.eye(n) - d_diag[:, None] * b_matrix
-    p = np.linalg.solve(A, d_diag * z)
-    if not np.all(np.isfinite(p)) or (p < 0.0).any():
-        raise NumericalError(f"interference fixed point produced {p}")
+    try:
+        p = np.linalg.solve(A, d_diag * z)
+    except np.linalg.LinAlgError:
+        p = None
+    if p is None or not (np.isfinite(p).all() and (p > 0.0).all()):
+        raise InfeasibleError(
+            stage, "no positive fixed point: coupling spectral radius >= 1")
     return p
 
 
 def solve_femto(lp):
     """Minimal femto powers meeting every FU SINR constraint with equality."""
-    if lp.rho >= 1.0:
-        raise InfeasibleError(
-            "femto", f"iteration matrix spectral radius {lp.rho:.6f} >= 1")
-    return _solve_interference_lp(lp.d_diag, lp.b_matrix, lp.z)
+    return _solve_interference_lp(lp.d_diag, lp.b_matrix, lp.z, "femto")
 
 
 def cross_report(channels, g, p1, coupling=None):
@@ -142,11 +150,7 @@ def cross_report(channels, g, p1, coupling=None):
     if coupling is None:
         coupling = femto_coupling(channels, g, channels.taps)
     coupling.require(g=g)
-    out = np.zeros(coupling.n0)
-    energy = coupling.energy[:coupling.n0, coupling.femto]
-    for j in range(coupling.n1):
-        out += p1[j] * energy[:, j]
-    return out
+    return (coupling.energy[:coupling.n0, coupling.femto] * p1).sum(axis=1)
 
 
 def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
@@ -165,21 +169,16 @@ def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
     coupling.require(u=u, alpha=alpha)
     N0 = coupling.n0
     energy = coupling.energy[:, coupling.macro]
-    delta = np.zeros(N0)
-    nabla = np.zeros(N0)
-    for n in range(N0):
-        s = coupling.signal[n]
-        if s == 0.0:
-            raise InfeasibleError("macro", f"zero main tap for user {n}")
-        own_isi = max(energy[n, n] - s, 0.0)
-        leak = 0.0
-        for n2 in range(N0):
-            if n2 != n:
-                leak += energy[n2, n]
-        delta[n] = (own_isi + leak) / s
-        nabla[n] = (cross_star[n] + noise) / s
-    caps = energy[N0:].T.copy()
-    return delta, nabla, caps
+    s = coupling.signal[coupling.macro]
+    if (s == 0.0).any():
+        raise InfeasibleError(
+            "macro", f"zero main tap for user {int(np.argmin(s != 0.0))}")
+    own_isi = np.maximum(np.diagonal(energy) - s, 0.0)
+    leak = energy[:N0].copy()
+    np.fill_diagonal(leak, 0.0)
+    delta = (own_isi + leak.sum(axis=0)) / s
+    nabla = (np.asarray(cross_star, dtype=float) + noise) / s
+    return delta, nabla, energy[N0:].T.copy()
 
 
 def macro_powers(delta, nabla, gamma, caps_i, p_tol):
@@ -258,25 +257,8 @@ def _centralized_system(coupling, gamma_m, gamma_f, noise):
     coup = coupling.energy.copy()
     own_isi = np.diagonal(coup) - sig
     np.fill_diagonal(coup, 0.0)
-    phi = sig - gam * own_isi
-    if (phi <= 0.0).any():
-        bad = int(np.argmin(phi))
-        raise InfeasibleError(
-            "centralized", f"SINR target unreachable for stacked user {bad}")
-    F = (gam / phi)[:, None] * coup
-    v = gam * noise / phi
-    return F, v
-
-
-def _sinrs(coupling, p0, p1, noise, cross_override=None):
-    """Per-user SINRs (MUs, FUs) under the given powers."""
-    sinr_mu = np.array([sinr(coupling.breakdown(n, p0, p1, noise))
-                        for n in range(coupling.n0)])
-    sinr_fu = np.array([
-        sinr(coupling.breakdown(coupling.n0 + j, p0, p1, noise,
-                                cross_override))
-        for j in range(coupling.n1)])
-    return sinr_mu, sinr_fu
+    d, phi = _target_margins(gam, sig, own_isi, "centralized")
+    return d[:, None] * coup, gam * noise / phi
 
 
 def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
@@ -291,15 +273,11 @@ def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
     coupling.require(u=beams.u, alpha=beams.alpha, g=beams.g)
     N0 = coupling.n0
     F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
-    rho = spectral_radius(F)
-    if rho >= 1.0:
-        raise InfeasibleError(
-            "centralized", f"coupling spectral radius {rho:.6f} >= 1")
-    p = _solve_interference_lp(np.ones_like(v), F, v)
+    p = _solve_interference_lp(np.ones_like(v), F, v, "centralized")
     p0, p1 = p[:N0], p[N0:]
-    sinr_mu, sinr_fu = _sinrs(coupling, p0, p1, noise)
+    s = victim_sinrs(coupling.energy, coupling.signal, p, N0, noise)
     return AllocationResult(
-        p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu,
+        p0=p0, p1=p1, sinr_mu=s[:N0], sinr_fu=s[N0:],
         cross_report=cross_report(channels, beams.g, p1, coupling),
         total_power=float(p.sum()), feasible=True)
 
@@ -323,7 +301,10 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     cross = cross_report(channels, beams.g, p1, coupling)
     p0, _ = solve_macro(channels, beams.u, beams.alpha, gamma_m, p_tol,
                         cross, noise, coupling)
-    sinr_mu, sinr_fu = _sinrs(coupling, p0, p1, noise, cross_override=p_tol)
+    s = victim_sinrs(coupling.energy, coupling.signal,
+                     np.concatenate([p0, p1]), coupling.n0, noise,
+                     cross_override=p_tol)
     return AllocationResult(
-        p0=p0, p1=p1, sinr_mu=sinr_mu, sinr_fu=sinr_fu, cross_report=cross,
+        p0=p0, p1=p1, sinr_mu=s[:coupling.n0], sinr_fu=s[coupling.n0:],
+        cross_report=cross,
         total_power=float(p0.sum() + p1.sum()), feasible=True)

@@ -34,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_true_given_estimate
-from .errors import InfeasibleError
-from .linops import spectral_radius, toeplitz_conv_matrix
-from .power import _femto_coefficients, _femto_leakage, _solve_interference_lp
+from .linops import toeplitz_conv_matrix
+from .power import (
+    _femto_coefficients,
+    _femto_leakage,
+    _solve_interference_lp,
+    _target_margins,
+)
 from .sinr import femto_coupling
 
 _VARIANTS = ("proposed", "young")
@@ -197,24 +201,14 @@ def solve_robust(bounds, gamma_f, p_tol, noise):
     Same fixed-point structure as the exact-CSI solve, with the signal and
     interference coefficients swapped for their floor/ceiling counterparts;
     at the solution every worst-case constraint holds with equality.
+    Raises InfeasibleError("robust") when no power meets them.
     """
     n = bounds.pl_sig_coeff.shape[0]
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (n,))
-    phi = bounds.pl_sig_coeff - gamma * bounds.pu_isi_coeff
-    if (phi <= 0.0).any():
-        bad = int(np.argmin(phi))
-        raise InfeasibleError(
-            "robust",
-            f"worst-case SINR target unreachable at any power for user {bad} "
-            f"(phi={phi[bad]:.3e})",
-        )
-    d = gamma / phi
-    z = np.full(n, p_tol + noise)
-    rho = spectral_radius(d[:, None] * bounds.pu_co_coeff)
-    if rho >= 1.0:
-        raise InfeasibleError(
-            "robust", f"iteration matrix spectral radius {rho:.6f} >= 1")
-    return _solve_interference_lp(d, bounds.pu_co_coeff, z)
+    d, _ = _target_margins(gamma, bounds.pl_sig_coeff, bounds.pu_isi_coeff,
+                           "robust")
+    return _solve_interference_lp(d, bounds.pu_co_coeff,
+                                  np.full(n, p_tol + noise), "robust")
 
 
 def _project_errors(e, h_hat, psi):

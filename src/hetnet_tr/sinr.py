@@ -121,25 +121,43 @@ class Coupling:
         """
         mu = v < self.n0
         own, own_p = (self.macro, p0) if mu else (self.femto, p1)
+        row = self.energy[v]
         col = v - self.first
-        main = own_p[col - own.start] * self.signal[col]
-        isi = own_p[col - own.start] * self.energy[v, col] - main
-        co = self._tier_sum(v, own, own_p, skip=col)
+        k = col - own.start
+        main = own_p[k] * self.signal[col]
+        isi = own_p[k] * row[col] - main
+        same = own_p * row[own]
+        same[k] = 0.0
         if cross_override is not None:
             cross = float(cross_override)
         else:
             other, other_p = (self.femto, p1) if mu else (self.macro, p0)
-            cross = self._tier_sum(v, other, other_p)
-        return PowerBreakdown(sig=main, isi=isi, co=co, cross=cross,
+            cross = np.sum(other_p * row[other])
+        return PowerBreakdown(sig=main, isi=isi, co=np.sum(same), cross=cross,
                               noise=noise_power)
 
-    def _tier_sum(self, v, cols, powers, skip=None):
-        """Sum over one tier's beams of power times energy at victim v."""
-        total = 0.0
-        for k in range(cols.start, cols.stop):
-            if k != skip:
-                total += powers[k - cols.start] * self.energy[v, k]
-        return total
+
+def victim_sinrs(energy, signal, powers, n0, noise, cross_override=None):
+    """SINR of every victim, the n0 MUs then the FUs.
+
+    energy (R, R) and signal (R,) couple R beams with their R victims,
+    victim v's own beam in column v (a Coupling of every beam, or
+    coupling_terms of one tier alone with n0 = 0); powers (R,) are the
+    transmit powers. Beams of a victim's own tier add co-tier
+    interference, the others cross-tier interference; cross_override,
+    when given, replaces the cross-tier term at every FU.
+    """
+    p = np.asarray(powers, dtype=float)
+    weighted = energy * p
+    np.fill_diagonal(weighted, 0.0)
+    fu = np.arange(p.size) >= n0
+    same = fu[:, None] == fu[None, :]
+    co = np.where(same, weighted, 0.0).sum(axis=1)
+    cross = np.where(same, 0.0, weighted).sum(axis=1)
+    if cross_override is not None:
+        cross[n0:] = cross_override
+    isi = p * (np.diagonal(energy) - signal)
+    return p * signal / (isi + co + cross + noise)
 
 
 def macro_coupling(channels, u, alpha, victims=None):

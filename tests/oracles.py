@@ -194,17 +194,29 @@ def tr_beamformer(channels, j):
     return tr_beamformer_cirs(channels.h1)[:, j, :]
 
 
-def weight_factored_powers(lp):
+def leakage_weights(coupling):
+    """Unit-norm weights: the energy each TR beam leaks onto all MUs together.
+
+    coupling must hold the TR beams; a zero leakage vector is returned
+    as is.
+    """
+    leak = np.sum(coupling.energy[:coupling.n0, coupling.femto], axis=0)
+    norm = float(np.linalg.norm(leak))
+    return leak / norm if norm > 0.0 else leak
+
+
+def weight_factored_powers(lp, eta):
     """Normalized-weight closed form; equals solve_femto / eta entrywise.
 
     Written with the weight diagonal factored through the Hadamard
     product, as an independent cross-check of the femto solve. Requires
-    strictly positive weights.
+    strictly positive weights eta (leakage_weights of the femto
+    coupling, or any other positive vector).
     """
-    if (lp.eta <= 0.0).any():
+    if (eta <= 0.0).any():
         raise ValueError("weight form needs strictly positive weights")
-    E = np.diag(lp.eta)
-    had = lp.b_matrix * (1.0 / lp.eta)[:, None]
+    E = np.diag(eta)
+    had = lp.b_matrix * (1.0 / eta)[:, None]
     M = E @ np.diag(lp.d_diag) @ had
     inner = np.linalg.solve(np.eye(lp.z.shape[0]) - M, lp.d_diag * lp.z)
     return np.linalg.solve(E, inner)

@@ -36,9 +36,10 @@ from hetnet_tr.robust import (
     worst_signal_lower,
     young_upper,
 )
-from hetnet_tr.sinr import fu_breakdown, sinr
+from hetnet_tr.sinr import femto_coupling, fu_breakdown, sinr
 
 from oracles import (
+    leakage_weights,
     lp_fixed_point_oracle,
     macro_kkt_oracle,
     weight_factored_powers,
@@ -127,7 +128,8 @@ def test_femto_allocation_matches_fixed_point(capsys):
         err_solve = max(err_solve,
                         float(np.max(np.abs(p - ref) / np.abs(ref))))
         direct = np.linalg.solve(np.eye(len(p)) - F, v)
-        form = weight_factored_powers(lp) * lp.eta
+        eta = leakage_weights(femto_coupling(ch, g, ch.taps))
+        form = weight_factored_powers(lp, eta) * eta
         err_form = max(err_form,
                        float(np.max(np.abs(form - direct) / np.abs(direct))))
         from hetnet_tr.beamform import design_beamformers

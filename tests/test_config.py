@@ -61,6 +61,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="antennas"):
             load_config(path)
 
+    def test_retired_xi_key_rejected(self, tmp_path):
+        """xi was never read; a config that still sets it is refused."""
+        from hetnet_tr.cli import main
+
+        path = write_ini(tmp_path, "[scenario]\nxi = 0.0\n")
+        with pytest.raises(ConfigError, match=r"unknown \[scenario\] key 'xi'"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
     def test_unknown_experiment_key(self, tmp_path):
         path = write_ini(tmp_path, "[experiment]\nruns = 3\n")
         with pytest.raises(ConfigError, match="runs"):

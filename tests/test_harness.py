@@ -26,6 +26,7 @@ from hetnet_tr.harness import (
     run_experiment,
 )
 from hetnet_tr.power import (
+    _centralized_system,
     macro_coefficients,
     solve_centralized,
     solve_proposed,
@@ -35,6 +36,7 @@ from hetnet_tr.robust import (
     sample_true_channels,
     solve_robust,
 )
+from hetnet_tr.sinr import couple
 
 
 def spec_for(name, tmp_path, trials=2, sweep=None, seed=5):
@@ -371,8 +373,11 @@ class TestRunExperiment:
         _, _, caps = macro_coefficients(channels, beams.u, beams.alpha,
                                         prop.cross_report, cfg.noise_power)
         assert prop.p0[0] * caps[0].max() <= cfg.p_tol
-        with pytest.raises(InfeasibleError,
-                           match=r"spectral radius 1\.0069") as exc:
+        F, _ = _centralized_system(couple(channels, beams), gm, gf,
+                                   cfg.noise_power)
+        rho = float(np.max(np.abs(np.linalg.eigvals(F))))
+        assert 1.0069 <= rho < 1.0070
+        with pytest.raises(InfeasibleError) as exc:
             solve_centralized(channels, beams, gm, gf, cfg.noise_power)
         assert exc.value.stage == "centralized"
 

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import designed_scenario, random_scenario
 
 from hetnet_tr.beamform import design_beamformers
 from hetnet_tr.channel import ChannelSet
+from hetnet_tr.beamform import BeamformerSet
 from hetnet_tr.errors import InfeasibleError
-from hetnet_tr.linops import spectral_radius
 from hetnet_tr.power import (
     AllocationResult,
     FemtoLp,
+    _femto_leakage,
+    _solve_interference_lp,
     build_femto_lp,
     cross_report,
     macro_coefficients,
@@ -21,9 +25,17 @@ from hetnet_tr.power import (
     solve_macro,
     solve_proposed,
 )
-from hetnet_tr.sinr import fu_breakdown, mu_breakdown, sinr
+from hetnet_tr.robust import RobustBounds, solve_robust
+from hetnet_tr.sinr import (
+    Coupling,
+    femto_coupling,
+    fu_breakdown,
+    mu_breakdown,
+    sinr,
+)
 
 from oracles import (
+    leakage_weights,
     lp_fixed_point_oracle,
     macro_kkt_oracle,
     weight_factored_powers,
@@ -51,22 +63,24 @@ def tr_beams(channels):
 
 class TestBuildFemtoLp:
     def test_single_user_coefficients(self):
-        """Lone-tap channel: phi = |h|^2, eta counts both victims, z is raw."""
+        """Lone-tap channel: phi = |h|^2, the leakage counts both victims,
+        z is raw."""
         ch = single_user_channels()
-        lp = build_femto_lp(ch, tr_beams(ch), gamma_f=1.5, p_tol=1e-4,
-                            noise=1e-12)
+        g = tr_beams(ch)
+        lp = build_femto_lp(ch, g, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         assert lp.phi == pytest.approx(4.0)
-        assert lp.eta_hat == pytest.approx(2.0)
-        assert lp.eta == pytest.approx(1.0)
+        coupling = femto_coupling(ch, g, ch.taps)
+        assert _femto_leakage(coupling) == pytest.approx(2.0)
+        assert leakage_weights(coupling) == pytest.approx(1.0)
         assert lp.z == pytest.approx(1e-4 + 1e-12)
         assert lp.b_matrix.shape == (1, 1) and lp.b_matrix[0, 0] == 0.0
-        assert lp.rho == 0.0
 
     def test_invariants_random(self):
         cfg, geo, ch, beams = designed_scenario(seed=71, n1=3)
         lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
                             cfg.noise_power)
-        assert np.linalg.norm(lp.eta) == pytest.approx(1.0, rel=1e-12)
+        eta = leakage_weights(femto_coupling(ch, beams.g, ch.taps))
+        assert np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diag(lp.b_matrix) == 0.0)
         assert np.all(lp.b_matrix >= 0.0)
         assert np.all(lp.phi > 0.0)
@@ -121,13 +135,75 @@ class TestSolveFemto:
                                         cfg.noise_power))
         assert np.all(hi > lo)
 
-    def test_spectral_radius_gate(self):
+    def test_spectral_radius_certificate(self):
+        """Radius 2: the solve has no positive fixed point and says so."""
         b = np.array([[0.0, 2.0], [2.0, 0.0]])
-        lp = FemtoLp(eta_hat=np.ones(2), eta=np.ones(2) / np.sqrt(2),
-                     b_matrix=b, d_diag=np.ones(2), phi=np.ones(2),
-                     z=np.full(2, 1e-4), rho=spectral_radius(b))
+        assert np.max(np.abs(np.linalg.eigvals(b))) == pytest.approx(2.0)
+        lp = FemtoLp(b_matrix=b, d_diag=np.ones(2), phi=np.ones(2),
+                     z=np.full(2, 1e-4))
         with pytest.raises(InfeasibleError) as exc:
             solve_femto(lp)
+        assert exc.value.stage == "femto"
+        assert "radius" in str(exc.value)
+
+
+def random_fixed_point(data):
+    """F >= 0 scaled to a drawn spectral radius, and v > 0."""
+    n = data.draw(st.integers(1, 5))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    F = np.array(data.draw(st.lists(entries, min_size=n * n,
+                                    max_size=n * n))).reshape(n, n)
+    v = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n,
+                                    max_size=n)))
+    rho = float(np.max(np.abs(np.linalg.eigvals(F))))
+    if rho > 0.0:
+        F *= data.draw(st.floats(0.05, 4.0)) / rho
+    return F, v
+
+
+class TestFixedPointCertificate:
+    """The sign of the solve is the feasibility test: for F >= 0 and v > 0,
+    (I - F) p = v has a solution p >= 0 exactly when rho(F) < 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_solve_succeeds_exactly_below_unit_radius(self, data):
+        F, v = random_fixed_point(data)
+        rho = float(np.max(np.abs(np.linalg.eigvals(F))))
+        assume(abs(rho - 1.0) > 1e-9)
+        try:
+            p = _solve_interference_lp(np.ones_like(v), F, v, "femto")
+        except InfeasibleError as exc:
+            assert exc.stage == "femto"
+            assert rho > 1.0
+            return
+        assert rho < 1.0
+        # the iterated oracle takes about log(1e-12)/log(rho) steps and
+        # stops about 1e-12/(1 - rho) short of the fixed point, in norm
+        if rho < 0.999:
+            ref = lp_fixed_point_oracle(F, v)
+            assert np.linalg.norm(p - ref) <= (
+                1e-10 / (1.0 - rho) * np.linalg.norm(ref))
+
+    def test_robust_stage_tag(self):
+        b = RobustBounds(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
+                         pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]),
+                         omega_coeff=np.ones(2), psi=0.1, variant="proposed")
+        with pytest.raises(InfeasibleError) as exc:
+            solve_robust(b, 1.0, 1e-4, 1e-12)
+        assert exc.value.stage == "robust"
+        assert "radius" in str(exc.value)
+
+    def test_centralized_stage_tag(self):
+        """Two users whose stacked coupling has radius 2 at unit targets."""
+        beams = BeamformerSet(u=None, alpha=None, g=None, beta=None)
+        coupling = Coupling(beams=beams, n0=1, first=0,
+                            energy=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                            signal=np.ones(2))
+        with pytest.raises(InfeasibleError) as exc:
+            solve_centralized(None, beams, 1.0, 1.0, 1e-12,
+                              coupling=coupling)
+        assert exc.value.stage == "centralized"
         assert "radius" in str(exc.value)
 
 
@@ -137,14 +213,16 @@ class TestDisplayForm:
         cfg, geo, ch, beams = designed_scenario(seed=13, n1=3)
         lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
                             cfg.noise_power)
-        np.testing.assert_allclose(weight_factored_powers(lp) * lp.eta,
+        eta = leakage_weights(femto_coupling(ch, beams.g, ch.taps))
+        np.testing.assert_allclose(weight_factored_powers(lp, eta) * eta,
                                    solve_femto(lp), rtol=1e-10)
 
     def test_single_user_forms_coincide(self):
         ch = single_user_channels()
-        lp = build_femto_lp(ch, tr_beams(ch), gamma_f=2.0, p_tol=1e-4,
-                            noise=1e-12)
-        assert weight_factored_powers(lp)[0] == pytest.approx(
+        g = tr_beams(ch)
+        lp = build_femto_lp(ch, g, gamma_f=2.0, p_tol=1e-4, noise=1e-12)
+        eta = leakage_weights(femto_coupling(ch, g, ch.taps))
+        assert weight_factored_powers(lp, eta)[0] == pytest.approx(
             solve_femto(lp)[0], rel=1e-12)
 
     def test_equal_weight_simplified_form(self):
@@ -156,11 +234,9 @@ class TestDisplayForm:
         d = rng.uniform(0.5, 1.5, n)
         z = np.full(n, 1e-4)
         eta = np.full(n, 1.0 / np.sqrt(n))
-        lp = FemtoLp(eta_hat=np.ones(n), eta=eta, b_matrix=b, d_diag=d,
-                     phi=np.ones(n), z=z,
-                     rho=spectral_radius(d[:, None] * b))
+        lp = FemtoLp(b_matrix=b, d_diag=d, phi=np.ones(n), z=z)
         direct = np.linalg.solve(np.eye(n) - d[:, None] * b, d * z)
-        np.testing.assert_allclose(weight_factored_powers(lp),
+        np.testing.assert_allclose(weight_factored_powers(lp, eta),
                                    direct * np.sqrt(n), rtol=1e-8)
         np.testing.assert_allclose(solve_femto(lp), direct, rtol=1e-12)
 
@@ -285,6 +361,26 @@ class TestSolveMacro:
         ref = macro_kkt_oracle(delta, nabla, cfg.gamma_m,
                                cfg.p_tol / caps.max(axis=-1))
         np.testing.assert_allclose(p0, ref.p, rtol=1e-5)
+
+    def test_coefficients_match_breakdowns(self):
+        """delta, nabla and caps read off the breakdowns of one unit beam."""
+        cfg, geo, ch, beams = designed_scenario(seed=66, m0=6, n0=3)
+        cross = np.array([1e-9, 2e-9, 3e-9])
+        delta, nabla, caps = macro_coefficients(ch, beams.u, beams.alpha,
+                                                cross, cfg.noise_power)
+        p1 = np.zeros(2)
+        for n in range(3):
+            p0 = np.eye(3)[n]
+            own = mu_breakdown(ch, beams, p0, p1, n)
+            leak = sum(mu_breakdown(ch, beams, p0, p1, n2).co
+                       for n2 in range(3) if n2 != n)
+            assert delta[n] == pytest.approx(
+                (max(own.isi, 0.0) + leak) / own.sig, rel=1e-12)
+            assert nabla[n] == pytest.approx(
+                (cross[n] + cfg.noise_power) / own.sig, rel=1e-12)
+            for j in range(2):
+                assert caps[n, j] == pytest.approx(
+                    fu_breakdown(ch, beams, p0, p1, j).cross, rel=1e-12)
 
     def test_cap_violation_raises_with_detail(self):
         cfg, geo, ch, beams = designed_scenario(seed=63)

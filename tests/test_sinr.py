@@ -5,7 +5,16 @@ import pytest
 
 from hetnet_tr.beamform import BeamformerSet, design_beamformers
 from hetnet_tr.channel import ChannelSet
-from hetnet_tr.sinr import PowerBreakdown, fu_breakdown, mu_breakdown, sinr
+from hetnet_tr.sinr import (
+    PowerBreakdown,
+    couple,
+    coupling_terms,
+    femto_coupling,
+    fu_breakdown,
+    mu_breakdown,
+    sinr,
+    victim_sinrs,
+)
 
 from helpers import designed_scenario
 
@@ -143,6 +152,39 @@ class TestVictimRows:
         assert b == fu_breakdown(ch, beams, None, p1, 1, cross_override=1e-9)
         with pytest.raises(ValueError):
             mu_breakdown(ch, broken, np.ones(2), p1, 1)
+
+
+class TestVictimSinrs:
+    """The array SINRs against the per-victim breakdown, victim by victim."""
+
+    @pytest.mark.parametrize("seed,n1", [(213, 2), (214, 3), (215, 4)])
+    def test_every_victim_matches_breakdown(self, seed, n1):
+        cfg, _, ch, beams = designed_scenario(seed, n1=n1)
+        coupling = couple(ch, beams)
+        rng = np.random.default_rng(seed)
+        p0, p1 = rng.uniform(1e-3, 1.0, 2), rng.uniform(1e-3, 1.0, n1)
+        p = np.concatenate([p0, p1])
+        noise = cfg.noise_power
+        for override in (None, cfg.p_tol):
+            got = victim_sinrs(coupling.energy, coupling.signal, p, 2, noise,
+                               cross_override=override)
+            for v in range(2 + n1):
+                fu_override = override if v >= 2 else None
+                ref = sinr(coupling.breakdown(v, p0, p1, noise, fu_override))
+                assert got[v] == pytest.approx(ref, rel=1e-12)
+
+    def test_single_tier_matches_breakdown(self):
+        """n0 = 0: one tier's own coupling against a fixed cross term."""
+        cfg, _, ch, beams = designed_scenario(216, n1=3)
+        p1 = np.array([0.2, 0.5, 0.9])
+        energy, signal = coupling_terms(beams.g, ch.h1, beams.beta)
+        got = victim_sinrs(energy, signal, p1, 0, cfg.noise_power,
+                           cross_override=cfg.p_tol)
+        femto = femto_coupling(ch, beams.g, beams.beta)
+        for j in range(3):
+            ref = sinr(femto.breakdown(2 + j, None, p1, cfg.noise_power,
+                                       cfg.p_tol))
+            assert got[j] == pytest.approx(ref, rel=1e-12)
 
 
 class TestSinr:
