@@ -8,7 +8,7 @@ ratios enter any SINR.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -113,6 +113,10 @@ class ScenarioConfig:
         return 10.0 ** ((self.p_tol_dbm - 30.0) / 10.0)
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         if min(self.m0, self.m1, self.n0, self.n1, self.taps) < 1:
             raise ConfigError("antenna/user/tap counts must be >= 1")
         longest = max(get_profile(key).n_taps for key, _ in _LINK_RULES.values())

@@ -188,8 +188,7 @@ def _power_compare_trial(trial, cfg, points, extra, seed):
         try:
             prop = solve_proposed(channels, gm, gf, cfg.p_tol,
                                   cfg.noise_power, coupling=coupling)
-            cent = solve_centralized(channels, coupling.beams, gm, gf,
-                                     cfg.noise_power, coupling=coupling)
+            cent = solve_centralized(coupling, gm, gf, cfg.noise_power)
             rows.append(_record(trial, pt, keys,
                                 (float(prop.total_power),
                                  float(cent.total_power)), True))
@@ -274,7 +273,7 @@ def _robust_stacks(channels, g, psi, cfg):
             for variant in ("proposed", "young")}
 
 
-def _robust_designs(channels, coupling, stacks, gamma_f, cfg):
+def _robust_designs(coupling, stacks, gamma_f, cfg):
     """Non-robust and both robust allocations; None marks infeasibility.
 
     coupling is the trial's femto_coupling of its TR beams and stacks the
@@ -283,8 +282,7 @@ def _robust_designs(channels, coupling, stacks, gamma_f, cfg):
     designs = {}
     try:
         designs["nonrobust"] = solve_femto(
-            build_femto_lp(channels, coupling.beams.g, gamma_f, cfg.p_tol,
-                           cfg.noise_power, coupling))
+            build_femto_lp(coupling, gamma_f, cfg.p_tol, cfg.noise_power))
     except InfeasibleError:
         designs["nonrobust"] = None
     for variant, bounds in stacks.items():
@@ -348,7 +346,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
                 _ball_statistics(channels.h1, g, psi, rng, draws),
                 _robust_stacks(channels, g, psi, cfg))
         stats, stacks = per_psi[psi]
-        designs = _robust_designs(channels, femto, stacks, gf, cfg)
+        designs = _robust_designs(femto, stacks, gf, cfg)
         outages = []
         for label in ("nonrobust", "proposed", "young"):
             p1 = designs[label]
@@ -382,7 +380,7 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         if psi not in per_psi:
             per_psi[psi] = _robust_stacks(channels, g, psi, cfg)
-        designs = _robust_designs(channels, femto, per_psi[psi], gf, cfg)
+        designs = _robust_designs(femto, per_psi[psi], gf, cfg)
         powers, flags, feasible = _design_row(designs)
         rows.append(_record(trial, pt, keys, (*powers, *flags), feasible))
     return rows

@@ -19,6 +19,9 @@ one solve, which is also their feasibility test: with DB >= 0 and Dz > 0,
 radius of DB is below one (the M-matrix characterization), and that
 solution is then positive. The sign of the solution is the certificate,
 so no eigenvalue is computed.
+
+Every stage reads the beams through one sinr.Coupling and takes no beam
+arrays, so a coupling cannot be paired with other beams.
 """
 
 from dataclasses import dataclass
@@ -27,16 +30,16 @@ import numpy as np
 
 from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
-from .sinr import couple, femto_coupling, macro_coupling, victim_sinrs
+from .sinr import couple, victim_sinrs
 
 
 @dataclass(frozen=True)
 class FemtoLp:
     """Coefficients of the femto-tier fixed-point problem.
 
-    b_matrix rows are victims: b[j, j'] couples user j' power into user j's
-    constraint. z holds the raw tolerated-plus-noise watts; the gamma/phi
-    diagonal (d_diag) multiplies it inside the solve.
+    b_matrix rows are victim users: b[j, j'] couples user j' power into
+    user j's constraint. z holds the raw tolerated-plus-noise watts; the
+    gamma/phi diagonal (d_diag) multiplies it inside the solve.
     """
 
     b_matrix: np.ndarray
@@ -66,7 +69,6 @@ class AllocationResult:
     sinr_fu: np.ndarray
     cross_report: np.ndarray
     total_power: float
-    feasible: bool
 
 
 def _femto_coefficients(coupling):
@@ -100,16 +102,12 @@ def _target_margins(gamma, sig, isi, stage):
     return gamma / phi, phi
 
 
-def build_femto_lp(channels, g, gamma_f, p_tol, noise, coupling=None):
-    """Assemble the femto fixed-point coefficients for TR beams g.
+def build_femto_lp(coupling, gamma_f, p_tol, noise):
+    """Assemble the femto fixed-point coefficients of coupling's TR beams.
 
-    coupling, when given, must have been built from g (alone or with the
-    ZF beams; see Coupling.require); otherwise it is built from channels
-    and g.
+    coupling holds the TR beams alone (sinr.femto_coupling) or with the
+    ZF beams (sinr.couple).
     """
-    if coupling is None:
-        coupling = femto_coupling(channels, g, channels.taps)
-    coupling.require(g=g)
     N = coupling.n1
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
     sig, isi, B = _femto_coefficients(coupling)
@@ -141,32 +139,26 @@ def solve_femto(lp):
     return _solve_interference_lp(lp.d_diag, lp.b_matrix, lp.z, "femto")
 
 
-def cross_report(channels, g, p1, coupling=None):
+def cross_report(coupling, p1):
     """Cross-tier interference each MU receives from the femto allocation.
 
     These N0 scalars are the only femto-side quantities the macro tier
     sees. coupling is as in build_femto_lp.
     """
-    if coupling is None:
-        coupling = femto_coupling(channels, g, channels.taps)
-    coupling.require(g=g)
     return (coupling.energy[:coupling.n0, coupling.femto] * p1).sum(axis=1)
 
 
-def macro_coefficients(channels, u, alpha, cross_star, noise, coupling=None):
+def macro_coefficients(coupling, cross_star, noise):
     """(delta, nabla, caps) for the macro tier, normalized by main-tap power.
 
     delta collects own-ISI plus leakage onto the other MUs' channels (the
     uplink-dual co-tier term); nabla carries the reported cross power plus
     noise; caps[n, j] is the per-unit-power interference each MU's beam
     inflicts on FU j. Own-ISI is clamped at zero: for an exact ZF beam it
-    is zero, and rounding can leave it a few ulp below. coupling, when
-    given, must have been built from u and alpha (alone or with the TR
-    beams); otherwise it is built from them.
+    is zero, and rounding can leave it a few ulp below. coupling holds
+    the ZF beams alone (sinr.macro_coupling) or with the TR beams
+    (sinr.couple).
     """
-    if coupling is None:
-        coupling = macro_coupling(channels, u, alpha)
-    coupling.require(u=u, alpha=alpha)
     N0 = coupling.n0
     energy = coupling.energy[:, coupling.macro]
     s = coupling.signal[coupling.macro]
@@ -212,16 +204,14 @@ def macro_powers(delta, nabla, gamma, caps_i, p_tol):
     return np.where(feasible, p_min, cap), feasible
 
 
-def solve_macro(channels, u, alpha, gamma_m, p_tol, cross_star, noise,
-                coupling=None):
-    """Macro powers for fixed ZF beams and a femto cross report.
+def solve_macro(coupling, gamma_m, p_tol, cross_star, noise):
+    """Macro powers for coupling's ZF beams and a femto cross report.
 
     Returns (p, MacroStats()). Raises InfeasibleError naming the violated
     cap (or the unreachable SINR target); the error detail carries the
     capped power. coupling is as in macro_coefficients.
     """
-    delta, nabla, caps = macro_coefficients(channels, u, alpha, cross_star,
-                                            noise, coupling)
+    delta, nabla, caps = macro_coefficients(coupling, cross_star, noise)
     gamma = np.broadcast_to(np.asarray(gamma_m, dtype=float), delta.shape)
     p, feasible = macro_powers(delta, nabla, gamma, caps, p_tol)
     if not feasible.all():
@@ -261,25 +251,20 @@ def _centralized_system(coupling, gamma_m, gamma_f, noise):
     return d[:, None] * coup, gam * noise / phi
 
 
-def solve_centralized(channels, beams, gamma_m, gamma_f, noise,
-                      coupling=None):
+def solve_centralized(coupling, gamma_m, gamma_f, noise):
     """Joint minimal-power allocation with every SINR constraint stacked.
 
-    coupling, when given, must be couple(channels, beams) for these very
-    beams.
+    coupling must hold every beam (sinr.couple); a coupling of one tier
+    alone raises ValueError.
     """
-    if coupling is None:
-        coupling = couple(channels, beams)
-    coupling.require(u=beams.u, alpha=beams.alpha, g=beams.g)
-    N0 = coupling.n0
+    mu, fu = coupling.macro, coupling.femto
     F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
     p = _solve_interference_lp(np.ones_like(v), F, v, "centralized")
-    p0, p1 = p[:N0], p[N0:]
-    s = victim_sinrs(coupling.energy, coupling.signal, p, N0, noise)
+    s = victim_sinrs(coupling.energy, coupling.signal, p, coupling.n0, noise)
     return AllocationResult(
-        p0=p0, p1=p1, sinr_mu=s[:N0], sinr_fu=s[N0:],
-        cross_report=cross_report(channels, beams.g, p1, coupling),
-        total_power=float(p.sum()), feasible=True)
+        p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],
+        cross_report=cross_report(coupling, p[fu]),
+        total_power=float(p.sum()))
 
 
 def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
@@ -290,21 +275,17 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     tier solves its closed form against that report. The beams and their
     full coupling do not depend on the SINR targets, so a caller solving
     many targets on one realization passes
-    couple(channels, design_beamformers(channels)) in once built; without
-    it, both are built here. The beams are read from the coupling.
+    couple(channels, design_beamformers(channels)) in once built; channels
+    is read only to build it when none is passed.
     """
     if coupling is None:
         coupling = couple(channels, design_beamformers(channels))
-    beams = coupling.beams
-    lp = build_femto_lp(channels, beams.g, gamma_f, p_tol, noise, coupling)
-    p1 = solve_femto(lp)
-    cross = cross_report(channels, beams.g, p1, coupling)
-    p0, _ = solve_macro(channels, beams.u, beams.alpha, gamma_m, p_tol,
-                        cross, noise, coupling)
+    p1 = solve_femto(build_femto_lp(coupling, gamma_f, p_tol, noise))
+    cross = cross_report(coupling, p1)
+    p0, _ = solve_macro(coupling, gamma_m, p_tol, cross, noise)
     s = victim_sinrs(coupling.energy, coupling.signal,
                      np.concatenate([p0, p1]), coupling.n0, noise,
                      cross_override=p_tol)
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=s[:coupling.n0], sinr_fu=s[coupling.n0:],
-        cross_report=cross,
-        total_power=float(p0.sum() + p1.sum()), feasible=True)
+        cross_report=cross, total_power=float(p0.sum() + p1.sum()))

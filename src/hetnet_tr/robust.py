@@ -82,10 +82,10 @@ def _check_psi(psi):
 def _ball_bounds(g, h, psi):
     """Closed-form worst cases of every beam over every victim's ball.
 
-    g (M, K, L) holds the filters and h (M, V, L) the victims' estimated
-    channels. Returns (energy, isi, floor), each (V, K): beam k's ceiling
-    on its response energy at victim v, the same ceiling off the central
-    tap, and the floor on its central-tap power there.
+    g (M, K, L) holds the filters and h (M, V, L) the estimated channels
+    of the V victim users. Returns (energy, isi, floor), each (V, K): beam
+    k's ceiling on its response energy at victim v, the same ceiling off
+    the central tap, and the floor on its central-tap power there.
     """
     taps = g.shape[-1]
     G = toeplitz_conv_matrix(g)
@@ -177,7 +177,7 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
                             pu_co_coeff=pu_co, omega_coeff=omega, psi=psi,
                             variant=variant)
     n0 = channels_est.h10.shape[1]
-    # victims: the MUs the beams leak onto, then the FUs
+    # victim users: the MUs the beams leak onto, then the FUs
     h = np.concatenate([channels_est.h10, channels_est.h1], axis=1)
     g = np.asarray(g_hat, dtype=complex)
     energy, isi, floor = _ball_bounds(g, h, psi)

@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import BeamformerSet
-
-# Gaussian noise power in watts, Table-defaults value; callers override
-DEFAULT_NOISE = 1e-12
-
 
 @dataclass(frozen=True)
 class PowerBreakdown:
@@ -32,30 +27,25 @@ class PowerBreakdown:
     noise: float
 
 
-def coupling_terms(filters, cirs, taps, first=0, victims=None):
-    """Per-unit-power coupling of K beams with V victims.
+def coupling_terms(filters, cirs, taps, first=0):
+    """Per-unit-power coupling of K beams with V victim users.
 
     filters (M, K, L) and cirs (M, V, L) share the M transmit antennas.
     Returns (energy (V, K), signal (K,)): energy[v, k] sums |r|^2 over all
     2L-1 taps of beam k's combined response r = sum_m filters[m, k] *
     cirs[m, v], and signal[k] is |r[taps[k] - 1]|^2 at beam k's own
-    victim, first + k. victims, when given, limits the work to those rows;
-    every other entry is nan, and only the taps of their own beams are
-    checked.
+    victim, first + k.
     """
     M, K, L = filters.shape
     V = cirs.shape[1]
     bands = 2 * L - 1
     taps = np.broadcast_to(np.asarray(taps, dtype=int), (K,))
-    victims = range(V) if victims is None else victims
-    own = [v - first for v in victims if 0 <= v - first < K]
-    if ((taps[own] < 1) | (taps[own] > bands)).any():
-        raise ValueError(
-            f"selected taps {taps[own].tolist()} outside 1..{bands}")
-    energy = np.full((V, K), np.nan)
+    if ((taps < 1) | (taps > bands)).any():
+        raise ValueError(f"selected taps {taps.tolist()} outside 1..{bands}")
+    energy = np.empty((V, K))
     signal = np.full(K, np.nan)
     for k in range(K):
-        for v in victims:
+        for v in range(V):
             r = sum(np.convolve(filters[m, k], cirs[m, v]) for m in range(M))
             energy[v, k] = np.sum(np.abs(r) ** 2)
             if v == first + k:
@@ -65,18 +55,17 @@ def coupling_terms(filters, cirs, taps, first=0, victims=None):
 
 @dataclass(frozen=True)
 class Coupling:
-    """Per-unit-power coupling of one realization's beams with its victims.
+    """Per-unit-power coupling of one realization's beams with its users.
 
-    Victims (rows) are the N0 MUs then the N1 FUs. Beams (columns) serve
-    victims first, first+1, ...: all R = N0 + N1 beams (first = 0), the
-    N0 ZF beams alone (first = 0) or the N1 TR beams alone (first = N0).
-    energy[v, k] is beam k's response energy at victim v; signal[k] is
-    beam k's power at its own victim's sampling tap. beams is the
-    BeamformerSet the coupling was built from; a tier it does not hold
-    has None filters and taps.
+    Rows are the victim users, the N0 MUs then the N1 FUs. Beams (columns)
+    serve users first, first+1, ...: all R = N0 + N1 beams (first = 0),
+    the N0 ZF beams alone (first = 0) or the N1 TR beams alone
+    (first = N0). energy[v, k] is beam k's response energy at victim v;
+    signal[k] is beam k's power at its own victim's sampling tap. Only
+    couple, macro_coupling and femto_coupling build it, and the power
+    layer reads the beams through it alone.
     """
 
-    beams: BeamformerSet
     n0: int
     first: int
     energy: np.ndarray
@@ -100,17 +89,6 @@ class Coupling:
         if start + self.n1 > self.energy.shape[1]:
             raise ValueError("coupling holds no TR beams")
         return slice(start, start + self.n1)
-
-    def require(self, **filters):
-        """Raise ValueError unless built from exactly these beam arrays.
-
-        Keywords name BeamformerSet fields (u, alpha, g); the check is by
-        identity, so a caller cannot pair one set of beams with the
-        coupling of another.
-        """
-        for name, value in filters.items():
-            if getattr(self.beams, name) is not value:
-                raise ValueError(f"coupling was not built from these {name}")
 
     def breakdown(self, v, p0, p1, noise_power, cross_override=None):
         """Power components at victim v (MUs then FUs).
@@ -140,7 +118,7 @@ class Coupling:
 def victim_sinrs(energy, signal, powers, n0, noise, cross_override=None):
     """SINR of every victim, the n0 MUs then the FUs.
 
-    energy (R, R) and signal (R,) couple R beams with their R victims,
+    energy (R, R) and signal (R,) couple R beams with their R victim users,
     victim v's own beam in column v (a Coupling of every beam, or
     coupling_terms of one tier alone with n0 = 0); powers (R,) are the
     transmit powers. Beams of a victim's own tier add co-tier
@@ -160,42 +138,38 @@ def victim_sinrs(energy, signal, powers, n0, noise, cross_override=None):
     return p * signal / (isi + co + cross + noise)
 
 
-def macro_coupling(channels, u, alpha, victims=None):
-    """Coupling of the ZF beams alone (victims as in coupling_terms)."""
+def macro_coupling(channels, u, alpha):
+    """Coupling of the ZF beams alone."""
     energy, signal = coupling_terms(
-        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha,
-        victims=victims)
-    return Coupling(beams=BeamformerSet(u=u, alpha=alpha, g=None, beta=None),
-                    n0=channels.h0.shape[1], first=0, energy=energy,
+        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha)
+    return Coupling(n0=channels.h0.shape[1], first=0, energy=energy,
                     signal=signal)
 
 
-def femto_coupling(channels, g, beta, victims=None):
+def femto_coupling(channels, g, beta):
     """Coupling of the TR beams alone, all sampled at tap beta."""
     n0 = channels.h10.shape[1]
     energy, signal = coupling_terms(
         g, np.concatenate([channels.h10, channels.h1], axis=1), beta,
-        first=n0, victims=victims)
-    return Coupling(beams=BeamformerSet(u=None, alpha=None, g=g, beta=beta),
-                    n0=n0, first=n0, energy=energy, signal=signal)
+        first=n0)
+    return Coupling(n0=n0, first=n0, energy=energy, signal=signal)
 
 
-def couple(channels, beams, victims=None):
-    """Every beam of a BeamformerSet against every victim (or those given)."""
-    macro = macro_coupling(channels, beams.u, beams.alpha, victims)
-    femto = femto_coupling(channels, beams.g, beams.beta, victims)
-    return Coupling(beams=beams, n0=macro.n0, first=0,
+def couple(channels, beams):
+    """Every beam of a BeamformerSet against every victim."""
+    macro = macro_coupling(channels, beams.u, beams.alpha)
+    femto = femto_coupling(channels, beams.g, beams.beta)
+    return Coupling(n0=macro.n0, first=0,
                     energy=np.hstack([macro.energy, femto.energy]),
                     signal=np.concatenate([macro.signal, femto.signal]))
 
 
-def mu_breakdown(channels, beams, p0, p1, n, noise_power=DEFAULT_NOISE):
+def mu_breakdown(channels, beams, p0, p1, n, noise_power):
     """Power components at MU n sampled at its selected tap."""
-    return couple(channels, beams, victims=[n]).breakdown(
-        n, p0, p1, noise_power)
+    return couple(channels, beams).breakdown(n, p0, p1, noise_power)
 
 
-def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
+def fu_breakdown(channels, beams, p0, p1, j, noise_power,
                  cross_override=None):
     """Power components at FU j sampled at the central tap.
 
@@ -208,9 +182,9 @@ def fu_breakdown(channels, beams, p0, p1, j, noise_power=DEFAULT_NOISE,
     if cross_override is None:
         if p0 is None:
             raise ValueError("need macro powers or an explicit cross override")
-        coupling = couple(channels, beams, victims=[v])
+        coupling = couple(channels, beams)
     else:
-        coupling = femto_coupling(channels, beams.g, beams.beta, victims=[v])
+        coupling = femto_coupling(channels, beams.g, beams.beta)
     return coupling.breakdown(v, p0, p1, noise_power, cross_override)
 
 

@@ -36,11 +36,13 @@ class KktCheck:
 
 
 def lp_fixed_point_oracle(F, v, tol=1e-12):
-    """Iterate p <- F p + v from zero until relative convergence.
+    """Iterate p <- F p + v from zero until every component converges.
 
-    The iterates are monotone nondecreasing for nonnegative F, v, so a
-    growth check over a trailing window detects divergence (spectral
-    radius >= 1) without computing eigenvalues.
+    The iteration stops once each component's step is at most tol times
+    that component, so a small component is resolved as finely as a
+    large one. The iterates are monotone nondecreasing for nonnegative
+    F, v, so a growth check over a trailing window detects divergence
+    (spectral radius >= 1) without computing eigenvalues.
     """
     F = np.asarray(F, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -50,8 +52,7 @@ def lp_fixed_point_oracle(F, v, tol=1e-12):
     reference = None
     for k in range(1, 10_000_000):
         p_next = F @ p + v
-        if np.linalg.norm(p_next - p) <= tol * max(np.linalg.norm(p_next),
-                                                   1e-300):
+        if (np.abs(p_next - p) <= tol * np.abs(p_next)).all():
             return p_next
         p = p_next
         if k % _DIVERGENCE_WINDOW == 0:

@@ -36,7 +36,7 @@ from hetnet_tr.robust import (
     worst_signal_lower,
     young_upper,
 )
-from hetnet_tr.sinr import femto_coupling, fu_breakdown, sinr
+from hetnet_tr.sinr import couple, femto_coupling, fu_breakdown, sinr
 
 from oracles import (
     leakage_weights,
@@ -116,7 +116,8 @@ def test_femto_allocation_matches_fixed_point(capsys):
         seed += 1
         g = tr_beamformer_cirs(ch.h1)
         try:
-            lp = build_femto_lp(ch, g, cfg.gamma_f, cfg.p_tol,
+            coupling = femto_coupling(ch, g, ch.taps)
+            lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol,
                                 cfg.noise_power)
             p = solve_femto(lp)
         except InfeasibleError:
@@ -128,7 +129,7 @@ def test_femto_allocation_matches_fixed_point(capsys):
         err_solve = max(err_solve,
                         float(np.max(np.abs(p - ref) / np.abs(ref))))
         direct = np.linalg.solve(np.eye(len(p)) - F, v)
-        eta = leakage_weights(femto_coupling(ch, g, ch.taps))
+        eta = leakage_weights(coupling)
         form = weight_factored_powers(lp, eta) * eta
         err_form = max(err_form,
                        float(np.max(np.abs(form - direct) / np.abs(direct))))
@@ -195,8 +196,8 @@ def test_joint_vs_decoupled_gap(capsys):
                                   cfg.noise_power)
             from hetnet_tr.beamform import design_beamformers
 
-            cent = solve_centralized(ch, design_beamformers(ch), cfg.gamma_m,
-                                     cfg.gamma_f, cfg.noise_power)
+            cent = solve_centralized(couple(ch, design_beamformers(ch)),
+                                     cfg.gamma_m, cfg.gamma_f, cfg.noise_power)
         except InfeasibleError:
             infeasible += 1
             continue

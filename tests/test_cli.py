@@ -52,6 +52,15 @@ class TestValidateCommand:
                      "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
         assert "longest channel profile" in capsys.readouterr().err
 
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.ini"
+        bad.write_text("[scenario]\nexp_macro = nan\n", encoding="utf-8")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--experiment", "power-compare",
+                     "--config", str(bad),
+                     "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
+        assert "exp_macro must be finite" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2
 

@@ -85,6 +85,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("key,raw", [
+        ("exp_macro", "nan"), ("noise_power", "nan"), ("p_tol_dbm", "nan"),
+        ("d_femto", "nan"), ("d_macro", "inf"), ("gamma_f_db", "-inf")])
+    def test_non_finite_float_rejected(self, tmp_path, key, raw):
+        path = write_ini(tmp_path, f"[scenario]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(path)
+
     def test_scenario_validation_applied(self, tmp_path):
         # one macro antenna cannot zero-force two users over 11 taps
         path = write_ini(tmp_path, "[scenario]\nm0 = 1\n")

@@ -370,15 +370,15 @@ class TestRunExperiment:
         prop = solve_proposed(channels, gm, gf, cfg.p_tol, cfg.noise_power)
         assert prop.p0[0] == pytest.approx(222.26, abs=0.01)
         beams = design_beamformers(channels)
-        _, _, caps = macro_coefficients(channels, beams.u, beams.alpha,
-                                        prop.cross_report, cfg.noise_power)
+        coupling = couple(channels, beams)
+        _, _, caps = macro_coefficients(coupling, prop.cross_report,
+                                        cfg.noise_power)
         assert prop.p0[0] * caps[0].max() <= cfg.p_tol
-        F, _ = _centralized_system(couple(channels, beams), gm, gf,
-                                   cfg.noise_power)
+        F, _ = _centralized_system(coupling, gm, gf, cfg.noise_power)
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))
         assert 1.0069 <= rho < 1.0070
         with pytest.raises(InfeasibleError) as exc:
-            solve_centralized(channels, beams, gm, gf, cfg.noise_power)
+            solve_centralized(coupling, gm, gf, cfg.noise_power)
         assert exc.value.stage == "centralized"
 
     @pytest.mark.parametrize("name", ["power-compare", "mu-outage"])

@@ -9,7 +9,6 @@ from helpers import designed_scenario, random_scenario
 
 from hetnet_tr.beamform import design_beamformers
 from hetnet_tr.channel import ChannelSet
-from hetnet_tr.beamform import BeamformerSet
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.power import (
     AllocationResult,
@@ -28,8 +27,10 @@ from hetnet_tr.power import (
 from hetnet_tr.robust import RobustBounds, solve_robust
 from hetnet_tr.sinr import (
     Coupling,
+    couple,
     femto_coupling,
     fu_breakdown,
+    macro_coupling,
     mu_breakdown,
     sinr,
 )
@@ -67,9 +68,9 @@ class TestBuildFemtoLp:
         z is raw."""
         ch = single_user_channels()
         g = tr_beams(ch)
-        lp = build_femto_lp(ch, g, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
-        assert lp.phi == pytest.approx(4.0)
         coupling = femto_coupling(ch, g, ch.taps)
+        lp = build_femto_lp(coupling, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
+        assert lp.phi == pytest.approx(4.0)
         assert _femto_leakage(coupling) == pytest.approx(2.0)
         assert leakage_weights(coupling) == pytest.approx(1.0)
         assert lp.z == pytest.approx(1e-4 + 1e-12)
@@ -77,9 +78,9 @@ class TestBuildFemtoLp:
 
     def test_invariants_random(self):
         cfg, geo, ch, beams = designed_scenario(seed=71, n1=3)
-        lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
-        eta = leakage_weights(femto_coupling(ch, beams.g, ch.taps))
+        coupling = femto_coupling(ch, beams.g, ch.taps)
+        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        eta = leakage_weights(coupling)
         assert np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diag(lp.b_matrix) == 0.0)
         assert np.all(lp.b_matrix >= 0.0)
@@ -90,15 +91,16 @@ class TestBuildFemtoLp:
         """A target beyond the signal-to-self-interference ratio has no power."""
         cfg, geo, ch, beams = designed_scenario(seed=72)
         with pytest.raises(InfeasibleError) as exc:
-            build_femto_lp(ch, beams.g, 1e9, cfg.p_tol, cfg.noise_power)
+            build_femto_lp(femto_coupling(ch, beams.g, ch.taps), 1e9,
+                           cfg.p_tol, cfg.noise_power)
         assert exc.value.stage == "femto"
 
 
 class TestSolveFemto:
     def test_single_user_closed_form(self):
         ch = single_user_channels()
-        lp = build_femto_lp(ch, tr_beams(ch), gamma_f=1.5, p_tol=1e-4,
-                            noise=1e-12)
+        lp = build_femto_lp(femto_coupling(ch, tr_beams(ch), ch.taps),
+                            gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         p = solve_femto(lp)
         assert p[0] == pytest.approx(1.5 * (1e-4 + 1e-12) / 4.0, rel=1e-14)
 
@@ -107,8 +109,8 @@ class TestSolveFemto:
         for seed in (11, 12, 13):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=4,
                                                     gamma_f_db=-4.0)
-            lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                                cfg.noise_power)
+            lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
+                                cfg.gamma_f, cfg.p_tol, cfg.noise_power)
             p = solve_femto(lp)
             F = lp.d_diag[:, None] * lp.b_matrix
             v = lp.d_diag * lp.z
@@ -118,8 +120,8 @@ class TestSolveFemto:
     def test_every_constraint_active(self):
         """At the minimal point each FU sits exactly on its SINR target."""
         cfg, geo, ch, beams = designed_scenario(seed=21, n1=3)
-        lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
+        lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
+                            cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
         for j in range(3):
             b = fu_breakdown(ch, beams, None, p1, j,
@@ -129,9 +131,10 @@ class TestSolveFemto:
 
     def test_gamma_monotone(self):
         cfg, geo, ch, beams = designed_scenario(seed=24, n1=2)
-        lo = solve_femto(build_femto_lp(ch, beams.g, 1.0, cfg.p_tol,
+        coupling = femto_coupling(ch, beams.g, ch.taps)
+        lo = solve_femto(build_femto_lp(coupling, 1.0, cfg.p_tol,
                                         cfg.noise_power))
-        hi = solve_femto(build_femto_lp(ch, beams.g, 2.0, cfg.p_tol,
+        hi = solve_femto(build_femto_lp(coupling, 2.0, cfg.p_tol,
                                         cfg.noise_power))
         assert np.all(hi > lo)
 
@@ -196,32 +199,39 @@ class TestFixedPointCertificate:
 
     def test_centralized_stage_tag(self):
         """Two users whose stacked coupling has radius 2 at unit targets."""
-        beams = BeamformerSet(u=None, alpha=None, g=None, beta=None)
-        coupling = Coupling(beams=beams, n0=1, first=0,
+        coupling = Coupling(n0=1, first=0,
                             energy=np.array([[1.0, 2.0], [2.0, 1.0]]),
                             signal=np.ones(2))
         with pytest.raises(InfeasibleError) as exc:
-            solve_centralized(None, beams, 1.0, 1.0, 1e-12,
-                              coupling=coupling)
+            solve_centralized(coupling, 1.0, 1.0, 1e-12)
         assert exc.value.stage == "centralized"
         assert "radius" in str(exc.value)
+
+
+class TestFixedPointOracle:
+    def test_small_component_meets_its_own_tolerance(self):
+        """A component far below the norm stops on its own relative step."""
+        F = np.diag([0.5, 0.0, 0.0])
+        v = np.array([2.0 ** -9, 1.0, 1.0])
+        np.testing.assert_allclose(lp_fixed_point_oracle(F, v),
+                                   [2.0 ** -8, 1.0, 1.0], rtol=1e-10)
 
 
 class TestDisplayForm:
     def test_relation_to_solver(self):
         """Weight-normalized form times the weights recovers the powers."""
         cfg, geo, ch, beams = designed_scenario(seed=13, n1=3)
-        lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
-        eta = leakage_weights(femto_coupling(ch, beams.g, ch.taps))
+        coupling = femto_coupling(ch, beams.g, ch.taps)
+        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        eta = leakage_weights(coupling)
         np.testing.assert_allclose(weight_factored_powers(lp, eta) * eta,
                                    solve_femto(lp), rtol=1e-10)
 
     def test_single_user_forms_coincide(self):
         ch = single_user_channels()
-        g = tr_beams(ch)
-        lp = build_femto_lp(ch, g, gamma_f=2.0, p_tol=1e-4, noise=1e-12)
-        eta = leakage_weights(femto_coupling(ch, g, ch.taps))
+        coupling = femto_coupling(ch, tr_beams(ch), ch.taps)
+        lp = build_femto_lp(coupling, gamma_f=2.0, p_tol=1e-4, noise=1e-12)
+        eta = leakage_weights(coupling)
         assert weight_factored_powers(lp, eta)[0] == pytest.approx(
             solve_femto(lp)[0], rel=1e-12)
 
@@ -245,10 +255,10 @@ class TestCrossReport:
     def test_matches_victim_breakdown(self):
         """Report entries equal the cross term seen by each MU."""
         cfg, geo, ch, beams = designed_scenario(seed=41, n1=3)
-        lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
+        coupling = femto_coupling(ch, beams.g, ch.taps)
+        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
-        rep = cross_report(ch, beams.g, p1)
+        rep = cross_report(coupling, p1)
         p0 = np.zeros(2)
         for n in range(2):
             b = mu_breakdown(ch, beams, p0, p1, n,
@@ -257,13 +267,13 @@ class TestCrossReport:
 
     def test_zero_power_zero_report(self):
         cfg, geo, ch, beams = designed_scenario(seed=42)
-        rep = cross_report(ch, beams.g, np.zeros(2))
+        rep = cross_report(femto_coupling(ch, beams.g, ch.taps), np.zeros(2))
         np.testing.assert_array_equal(rep, 0.0)
 
     def test_single_pair_scaling(self):
         ch = single_user_channels()
-        g = tr_beams(ch)
-        rep = cross_report(ch, g, np.array([3.0]))
+        rep = cross_report(femto_coupling(ch, tr_beams(ch), ch.taps),
+                           np.array([3.0]))
         assert rep == pytest.approx([3.0, 3.0])
 
 
@@ -337,27 +347,27 @@ class TestSolveMacro:
     def test_end_to_end_meets_targets(self):
         """ZF beams plus a femto report: every MU lands on its target."""
         cfg, geo, ch, beams = designed_scenario(seed=65)
-        lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
+        femto = femto_coupling(ch, beams.g, ch.taps)
+        macro = macro_coupling(ch, beams.u, beams.alpha)
+        lp = build_femto_lp(femto, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
-        cross = cross_report(ch, beams.g, p1)
-        p0, _ = solve_macro(ch, beams.u, beams.alpha, cfg.gamma_m,
-                            cfg.p_tol, cross, cfg.noise_power)
+        cross = cross_report(femto, p1)
+        p0, _ = solve_macro(macro, cfg.gamma_m, cfg.p_tol, cross,
+                            cfg.noise_power)
         for n in range(2):
             b = mu_breakdown(ch, beams, p0, p1, n,
                              noise_power=cfg.noise_power)
             assert sinr(b) == pytest.approx(cfg.gamma_m, rel=1e-4)
-        delta, nabla, caps = macro_coefficients(ch, beams.u, beams.alpha,
-                                                cross, cfg.noise_power)
+        delta, nabla, caps = macro_coefficients(macro, cross, cfg.noise_power)
         assert np.all(caps * p0[:, None] < cfg.p_tol)
 
     def test_matches_oracle_through_coefficients(self):
         cfg, geo, ch, beams = designed_scenario(seed=62)
         cross = np.full(2, 1e-9)
-        delta, nabla, caps = macro_coefficients(ch, beams.u, beams.alpha,
-                                                cross, cfg.noise_power)
-        p0, _ = solve_macro(ch, beams.u, beams.alpha, cfg.gamma_m,
-                            cfg.p_tol, cross, cfg.noise_power)
+        macro = macro_coupling(ch, beams.u, beams.alpha)
+        delta, nabla, caps = macro_coefficients(macro, cross, cfg.noise_power)
+        p0, _ = solve_macro(macro, cfg.gamma_m, cfg.p_tol, cross,
+                            cfg.noise_power)
         ref = macro_kkt_oracle(delta, nabla, cfg.gamma_m,
                                cfg.p_tol / caps.max(axis=-1))
         np.testing.assert_allclose(p0, ref.p, rtol=1e-5)
@@ -366,13 +376,14 @@ class TestSolveMacro:
         """delta, nabla and caps read off the breakdowns of one unit beam."""
         cfg, geo, ch, beams = designed_scenario(seed=66, m0=6, n0=3)
         cross = np.array([1e-9, 2e-9, 3e-9])
-        delta, nabla, caps = macro_coefficients(ch, beams.u, beams.alpha,
-                                                cross, cfg.noise_power)
+        delta, nabla, caps = macro_coefficients(
+            macro_coupling(ch, beams.u, beams.alpha), cross, cfg.noise_power)
         p1 = np.zeros(2)
         for n in range(3):
             p0 = np.eye(3)[n]
-            own = mu_breakdown(ch, beams, p0, p1, n)
-            leak = sum(mu_breakdown(ch, beams, p0, p1, n2).co
+            own = mu_breakdown(ch, beams, p0, p1, n, noise_power=1e-12)
+            leak = sum(mu_breakdown(ch, beams, p0, p1, n2,
+                                    noise_power=1e-12).co
                        for n2 in range(3) if n2 != n)
             assert delta[n] == pytest.approx(
                 (max(own.isi, 0.0) + leak) / own.sig, rel=1e-12)
@@ -380,14 +391,15 @@ class TestSolveMacro:
                 (cross[n] + cfg.noise_power) / own.sig, rel=1e-12)
             for j in range(2):
                 assert caps[n, j] == pytest.approx(
-                    fu_breakdown(ch, beams, p0, p1, j).cross, rel=1e-12)
+                    fu_breakdown(ch, beams, p0, p1, j,
+                                 noise_power=1e-12).cross, rel=1e-12)
 
     def test_cap_violation_raises_with_detail(self):
         cfg, geo, ch, beams = designed_scenario(seed=63)
         cross = np.full(2, 1e-9)
         with pytest.raises(InfeasibleError) as exc:
-            solve_macro(ch, beams.u, beams.alpha, cfg.gamma_m, 1e-30, cross,
-                        cfg.noise_power)
+            solve_macro(macro_coupling(ch, beams.u, beams.alpha),
+                        cfg.gamma_m, 1e-30, cross, cfg.noise_power)
         assert exc.value.stage == "macro"
         assert "cap" in str(exc.value)
 
@@ -395,8 +407,8 @@ class TestSolveMacro:
         cfg, geo, ch, beams = designed_scenario(seed=64)
         cross = np.full(2, 1e-9)
         with pytest.raises(InfeasibleError) as exc:
-            solve_macro(ch, beams.u, beams.alpha, 1e18, cfg.p_tol, cross,
-                        cfg.noise_power)
+            solve_macro(macro_coupling(ch, beams.u, beams.alpha), 1e18,
+                        cfg.p_tol, cross, cfg.noise_power)
         assert exc.value.stage == "macro"
 
 
@@ -412,21 +424,20 @@ class TestSolveCentralized:
     def test_all_constraints_active(self):
         """Stacked solve leaves every user exactly on target."""
         cfg, geo, ch, beams = designed_scenario(seed=14, n1=3)
-        res = solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
+        res = solve_centralized(couple(ch, beams), cfg.gamma_m, cfg.gamma_f,
                                 cfg.noise_power)
         np.testing.assert_allclose(res.sinr_mu, cfg.gamma_m, rtol=1e-6)
         np.testing.assert_allclose(res.sinr_fu, cfg.gamma_f, rtol=1e-6)
-        assert res.feasible
         assert res.total_power == pytest.approx(res.p0.sum() + res.p1.sum())
 
     def test_matches_fixed_point_oracle(self):
         from hetnet_tr.power import _centralized_system
-        from hetnet_tr.sinr import couple
 
         cfg, geo, ch, beams = designed_scenario(seed=82)
-        F, v = _centralized_system(couple(ch, beams), cfg.gamma_m,
-                                   cfg.gamma_f, cfg.noise_power)
-        res = solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
+        coupling = couple(ch, beams)
+        F, v = _centralized_system(coupling, cfg.gamma_m, cfg.gamma_f,
+                                   cfg.noise_power)
+        res = solve_centralized(coupling, cfg.gamma_m, cfg.gamma_f,
                                 cfg.noise_power)
         np.testing.assert_allclose(np.concatenate([res.p0, res.p1]),
                                    lp_fixed_point_oracle(F, v), rtol=1e-10)
@@ -435,8 +446,8 @@ class TestSolveCentralized:
         """The two-step scheme spends at least the jointly optimal power."""
         for seed in (83, 84, 85):
             cfg, geo, ch, beams = designed_scenario(seed=seed)
-            joint = solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
-                                      cfg.noise_power)
+            joint = solve_centralized(couple(ch, beams), cfg.gamma_m,
+                                      cfg.gamma_f, cfg.noise_power)
             two_step = solve_proposed(ch, cfg.gamma_m, cfg.gamma_f,
                                       cfg.p_tol, cfg.noise_power)
             assert two_step.total_power >= joint.total_power * (1 - 1e-9)
@@ -444,15 +455,16 @@ class TestSolveCentralized:
     def test_infeasible_target(self):
         cfg, geo, ch, beams = designed_scenario(seed=86)
         with pytest.raises(InfeasibleError) as exc:
-            solve_centralized(ch, beams, 1e9, cfg.gamma_f, cfg.noise_power)
+            solve_centralized(couple(ch, beams), 1e9, cfg.gamma_f,
+                              cfg.noise_power)
         assert exc.value.stage == "centralized"
 
     def test_zero_cross_channels_decouple(self):
         """No cross links and no tolerance margin: both schemes coincide."""
         cfg, ch = zero_cross_channels(seed=87)
         beams = design_beamformers(ch)
-        joint = solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
-                                  cfg.noise_power)
+        joint = solve_centralized(couple(ch, beams), cfg.gamma_m,
+                                  cfg.gamma_f, cfg.noise_power)
         two_step = solve_proposed(ch, cfg.gamma_m, cfg.gamma_f, 0.0,
                                   cfg.noise_power)
         assert two_step.total_power == pytest.approx(joint.total_power,
@@ -466,12 +478,12 @@ class TestSolveProposed:
         res = solve_proposed(ch, cfg.gamma_m, cfg.gamma_f, cfg.p_tol,
                              cfg.noise_power)
         assert isinstance(res, AllocationResult)
-        assert res.feasible
         np.testing.assert_allclose(res.sinr_fu, cfg.gamma_f, rtol=1e-8)
         np.testing.assert_allclose(res.sinr_mu, cfg.gamma_m, rtol=1e-4)
         assert np.all(res.sinr_mu >= cfg.gamma_m * (1 - 1e-5))
         assert res.total_power == pytest.approx(res.p0.sum() + res.p1.sum())
-        rep = cross_report(ch, design_beamformers(ch).g, res.p1)
+        rep = cross_report(
+            femto_coupling(ch, design_beamformers(ch).g, ch.taps), res.p1)
         np.testing.assert_allclose(res.cross_report, rep, rtol=1e-12)
 
     def test_femto_stage_tag(self):
@@ -504,8 +516,6 @@ class TestSharedTrialLinks:
     POINTS = [(g_m, g_f) for g_m in (-3.0, 1.0) for g_f in (-4.0, 0.0, 4.0)]
 
     def test_proposed_and_centralized_match_standalone(self):
-        from hetnet_tr.sinr import couple
-
         solved = 0
         for seed in range(300, 312):
             cfg, geo, ch, beams = designed_scenario(seed)
@@ -527,42 +537,24 @@ class TestSharedTrialLinks:
                     assert np.array_equal(getattr(shared, name),
                                           getattr(alone, name)), name
                 assert shared.total_power == alone.total_power
-                cent = solve_centralized(ch, beams, gm, gf, cfg.noise_power)
-                cent_shared = solve_centralized(ch, beams, gm, gf,
-                                                cfg.noise_power,
-                                                coupling=coupling)
+                cent = solve_centralized(couple(ch, beams), gm, gf,
+                                         cfg.noise_power)
+                cent_shared = solve_centralized(coupling, gm, gf,
+                                                cfg.noise_power)
                 assert np.array_equal(cent.p0, cent_shared.p0)
                 assert np.array_equal(cent.p1, cent_shared.p1)
                 solved += 1
         assert solved >= 20
 
     def test_partial_coupling_refuses_the_other_tier(self):
-        from hetnet_tr.sinr import femto_coupling, macro_coupling
-
         cfg, geo, ch, beams = designed_scenario(seed=95)
         femto = femto_coupling(ch, beams.g, beams.beta)
         macro = macro_coupling(ch, beams.u, beams.alpha)
         with pytest.raises(ValueError):
-            macro_coefficients(ch, beams.u, beams.alpha, np.zeros(2),
-                               cfg.noise_power, femto)
+            macro_coefficients(femto, np.zeros(2), cfg.noise_power)
         with pytest.raises(ValueError):
-            build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                           cfg.noise_power, macro)
-
-    def test_coupling_of_other_beams_is_refused(self):
-        from hetnet_tr.sinr import couple
-
-        cfg, geo, ch, beams = designed_scenario(seed=95)
-        other = design_beamformers(ch)
-        coupling = couple(ch, other)
-        with pytest.raises(ValueError):
-            solve_centralized(ch, beams, cfg.gamma_m, cfg.gamma_f,
-                              cfg.noise_power, coupling=coupling)
-        with pytest.raises(ValueError):
-            build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                           cfg.noise_power, coupling)
-        with pytest.raises(ValueError):
-            cross_report(ch, beams.g, np.ones(2), coupling)
-        with pytest.raises(ValueError):
-            macro_coefficients(ch, beams.u, beams.alpha, np.zeros(2),
-                               cfg.noise_power, coupling)
+            build_femto_lp(macro, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        for partial in (femto, macro):
+            with pytest.raises(ValueError):
+                solve_centralized(partial, cfg.gamma_m, cfg.gamma_f,
+                                  cfg.noise_power)

@@ -263,8 +263,8 @@ class TestSolveRobust:
         """psi=0 runs the identical closed form and reproduces solve_femto bits."""
         for seed in (0, 1, 2):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
-            lp = build_femto_lp(ch, beams.g, cfg.gamma_f, cfg.p_tol,
-                                cfg.noise_power)
+            lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
+                                cfg.gamma_f, cfg.p_tol, cfg.noise_power)
             nominal = solve_femto(lp)
             b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
             robust = solve_robust(b, cfg.gamma_f, cfg.p_tol, cfg.noise_power)

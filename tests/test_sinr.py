@@ -56,21 +56,24 @@ class TestMuBreakdown:
         p0 = np.array([0.5, 1.5])
         p1 = np.zeros(2)
         for n in range(2):
-            b = mu_breakdown(ch, beams, p0, p1, n)
+            b = mu_breakdown(ch, beams, p0, p1, n, noise_power=1e-12)
             assert b.isi + b.co <= 1e-8 * b.sig
 
     def test_cross_term_uses_femto_powers(self):
         _, _, ch, beams = designed_scenario(203)
         p0 = np.ones(2)
-        b1 = mu_breakdown(ch, beams, p0, np.array([1.0, 0.0]), 0)
-        b2 = mu_breakdown(ch, beams, p0, np.array([2.0, 0.0]), 0)
+        b1 = mu_breakdown(ch, beams, p0, np.array([1.0, 0.0]), 0,
+                          noise_power=1e-12)
+        b2 = mu_breakdown(ch, beams, p0, np.array([2.0, 0.0]), 0,
+                          noise_power=1e-12)
         assert b2.cross == pytest.approx(2 * b1.cross, rel=1e-12)
 
     def test_tap_validated(self):
         _, _, ch, beams = designed_scenario(204)
         bad = BeamformerSet(u=beams.u, alpha=np.array([12, 1]), g=beams.g, beta=6)
         with pytest.raises(ValueError):
-            mu_breakdown(ch, bad, np.ones(2), np.ones(2), 0)
+            mu_breakdown(ch, bad, np.ones(2), np.ones(2), 0,
+                         noise_power=1e-12)
 
 
 class TestFuBreakdown:
@@ -85,23 +88,25 @@ class TestFuBreakdown:
         beams = BeamformerSet(u=np.ones((1, 1, 6), dtype=complex),
                               alpha=np.array([1]), g=g, beta=6)
         p1 = np.array([2.5])
-        b = fu_breakdown(ch, beams, np.zeros(1), p1, 0)
+        b = fu_breakdown(ch, beams, np.zeros(1), p1, 0, noise_power=1e-12)
         assert b.sig == pytest.approx(2.5 * np.sum(np.abs(h1) ** 2), rel=1e-12)
 
     def test_zero_macro_power_kills_cross(self):
         _, _, ch, beams = designed_scenario(206)
-        b = fu_breakdown(ch, beams, np.zeros(2), np.ones(2), 1)
+        b = fu_breakdown(ch, beams, np.zeros(2), np.ones(2), 1,
+                         noise_power=1e-12)
         assert b.cross == 0.0
 
     def test_cross_override(self):
         _, _, ch, beams = designed_scenario(207)
-        b = fu_breakdown(ch, beams, None, np.ones(2), 0, cross_override=1e-4)
+        b = fu_breakdown(ch, beams, None, np.ones(2), 0, noise_power=1e-12,
+                         cross_override=1e-4)
         assert b.cross == 1e-4
 
     def test_missing_macro_power_rejected(self):
         _, _, ch, beams = designed_scenario(208)
         with pytest.raises(ValueError):
-            fu_breakdown(ch, beams, None, np.ones(2), 0)
+            fu_breakdown(ch, beams, None, np.ones(2), 0, noise_power=1e-12)
 
     def test_energy_accounting(self):
         """Component sum equals the reconstructed per-source received energy."""
@@ -110,7 +115,7 @@ class TestFuBreakdown:
         p0 = rng.random(2)
         p1 = rng.random(3)
         for j in range(3):
-            b = fu_breakdown(ch, beams, p0, p1, j)
+            b = fu_breakdown(ch, beams, p0, p1, j, noise_power=1e-12)
             own_and_co = reconstruct_received_energy(beams.g, p1, ch.h1[:, j, :])
             cross = reconstruct_received_energy(beams.u, p0, ch.h01[:, j, :])
             assert b.sig + b.isi + b.co + b.cross == pytest.approx(
@@ -122,7 +127,7 @@ class TestFuBreakdown:
         p0 = rng.random(2)
         p1 = rng.random(2)
         for n in range(2):
-            b = mu_breakdown(ch, beams, p0, p1, n)
+            b = mu_breakdown(ch, beams, p0, p1, n, noise_power=1e-12)
             own_and_co = reconstruct_received_energy(beams.u, p0, ch.h0[:, n, :])
             cross = reconstruct_received_energy(beams.g, p1, ch.h10[:, n, :])
             assert b.sig + b.isi + b.co + b.cross == pytest.approx(
@@ -130,28 +135,19 @@ class TestFuBreakdown:
 
 
 class TestVictimRows:
-    """Breakdowns build only their victim's row of the coupling."""
-
-    def test_rows_match_the_full_coupling(self):
-        from hetnet_tr.sinr import couple
-
-        _, _, ch, beams = designed_scenario(207)
-        full = couple(ch, beams)
-        for v in range(full.energy.shape[0]):
-            row = couple(ch, beams, victims=[v])
-            assert np.array_equal(row.energy[v], full.energy[v])
-            assert row.signal[v] == full.signal[v]
-            assert np.isnan(np.delete(row.energy, v, axis=0)).all()
+    """With a cross override, an FU breakdown reads the TR beams alone."""
 
     def test_fu_override_ignores_macro_beams(self):
         _, _, ch, beams = designed_scenario(208)
         broken = BeamformerSet(u=beams.u, alpha=np.array([0, 99]),
                                g=beams.g, beta=beams.beta)
         p1 = np.array([1.0, 2.0])
-        b = fu_breakdown(ch, broken, None, p1, 1, cross_override=1e-9)
-        assert b == fu_breakdown(ch, beams, None, p1, 1, cross_override=1e-9)
+        b = fu_breakdown(ch, broken, None, p1, 1, noise_power=1e-12,
+                         cross_override=1e-9)
+        assert b == fu_breakdown(ch, beams, None, p1, 1, noise_power=1e-12,
+                                 cross_override=1e-9)
         with pytest.raises(ValueError):
-            mu_breakdown(ch, broken, np.ones(2), p1, 1)
+            mu_breakdown(ch, broken, np.ones(2), p1, 1, noise_power=1e-12)
 
 
 class TestVictimSinrs:
@@ -209,9 +205,9 @@ class TestSinr:
         p0 = np.array([1.0, 2.0])
         p1 = np.array([0.5, 0.25])
         t = 3.0
-        b = fu_breakdown(ch, beams, p0, p1, 0)
+        b = fu_breakdown(ch, beams, p0, p1, 0, noise_power=1e-12)
         p1_scaled = p1 * np.array([t, 1.0])
-        bs = fu_breakdown(ch, beams, p0, p1_scaled, 0)
+        bs = fu_breakdown(ch, beams, p0, p1_scaled, 0, noise_power=1e-12)
         assert bs.sig == pytest.approx(t * b.sig, rel=1e-12)
         assert bs.isi == pytest.approx(t * b.isi, rel=1e-12)
         assert bs.co == pytest.approx(b.co, rel=1e-12)
@@ -226,5 +222,6 @@ class TestSinr:
                 trial = BeamformerSet(u=beams.u, alpha=beams.alpha,
                                       g=beams.g, beta=beta)
                 sigs.append(fu_breakdown(ch, trial, None, p1, j,
+                                         noise_power=1e-12,
                                          cross_override=0.0).sig)
             assert int(np.argmax(sigs)) + 1 == 6
