@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .linops import pseudo_inverse, sylvester_matrix
+from .linops import pseudo_inverse, toeplitz_conv_matrix
 
 # a candidate tap counts as reachable when the stacked system solves to this
 _ZF_RESIDUAL_TOL = 1e-6
@@ -32,9 +32,11 @@ class BeamformerSet:
 
 
 def _stacked_system(h):
-    """Stack per-MU banded blocks; block n spans rows n*(2L-1)..(n+1)*(2L-1)."""
+    """Stacked per-MU convolution matrices: row n*(2L-1) + t, column
+    c*M + m holds h[m, n, t - c], so columns follow the tap-major w."""
     M, N, L = h.shape
-    return np.vstack([sylvester_matrix(h[:, n, :].T, L) for n in range(N)])
+    return toeplitz_conv_matrix(h).transpose(1, 2, 3, 0).reshape(
+        N * (2 * L - 1), L * M)
 
 
 def _unflatten(w, M, L):

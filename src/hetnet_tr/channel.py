@@ -96,7 +96,6 @@ class ScenarioConfig:
     exp_macro: float = EXP_MACRO
     exp_femto: float = EXP_FEMTO
     exp_cross: float = EXP_CROSS
-    psi: float = 0.0
     seed: int = 12345
 
     @property
@@ -129,8 +128,8 @@ class ScenarioConfig:
                 "macro ZF needs M0*L >= (2L-1)*N0; got "
                 f"{self.m0}*{self.taps} < {2 * self.taps - 1}*{self.n0}"
             )
-        if not 0.0 <= self.psi < 1.0:
-            raise ConfigError("error factor psi must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_power <= 0.0:
             raise ConfigError("noise_power must be positive")
         if min(self.d_macro, self.d_femto, self.d_mbs_fbs) <= 0.0:
@@ -217,7 +216,12 @@ def draw_cir(profile, distance, exponent, L, rng):
         raise ValueError(
             f"profile '{profile.name}' has {profile.n_taps} taps, more than L={L}"
         )
-    var = profile.linear_powers / distance ** exponent
+    with np.errstate(over="ignore", divide="ignore"):
+        loss = np.float64(distance) ** exponent
+        var = profile.linear_powers / loss
+    if not (0.0 < loss < np.inf and np.isfinite(var).all()):
+        raise ConfigError(f"tap variance zero or not finite at {distance:g} "
+                          f"m with path-loss exponent {exponent:g}")
     z = rng.standard_normal((2, profile.n_taps))
     taps = np.sqrt(var / 2.0) * (z[0] + 1j * z[1])
     if profile.n_taps < L:

@@ -16,7 +16,7 @@ import numpy as np
 from .beamform import design_beamformers, tr_beamformer_cirs, zf_select_cirs
 from .channel import draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError
-from .linops import toeplitz_conv_matrix
+from .linops import responses
 from .power import (
     build_femto_lp,
     solve_centralized,
@@ -104,6 +104,8 @@ class ExperimentSpec:
                               f"expected one of {', '.join(EXPERIMENTS)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.output_path:
             raise ConfigError("output path must be non-empty")
         allowed = set(_SWEEP_ORDER[self.name])
@@ -183,8 +185,8 @@ def _power_compare_trial(trial, cfg, points, extra, seed):
                 for pt in points]
     rows = []
     for pt in points:
-        gm = _db(pt.get("gamma_m_db", cfg.gamma_m_db))
-        gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
+        gm = _db(pt["gamma_m_db"])
+        gf = _db(pt["gamma_f_db"])
         try:
             prop = solve_proposed(channels, gm, gf, cfg.p_tol,
                                   cfg.noise_power, coupling=coupling)
@@ -207,7 +209,7 @@ def _mu_outage_trial(trial, cfg, points, extra, seed):
                 for pt in points]
     rows = []
     for pt in points:
-        gm = _db(pt.get("gamma_m_db", cfg.gamma_m_db))
+        gm = _db(pt["gamma_m_db"])
         try:
             prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
                                   cfg.noise_power, coupling=coupling)
@@ -250,7 +252,7 @@ def _bound_tightness_trial(trial, cfg, points, extra, seed):
     keys = _VALUE_KEYS["bound-tightness"]
     rows = []
     for pt in points:
-        psi = float(pt.get("psi", cfg.psi))
+        psi = float(pt["psi"])
         young = young_upper(g, h, psi)
         prop = proposed_upper(g, h, psi)
         floor = worst_signal_lower(g, h, psi)
@@ -309,19 +311,16 @@ def _design_row(designs):
 def _ball_statistics(h1, g, psi, rng, draws):
     """Per FU j, (tot, main) of every TR beam over j's sampled true channels.
 
-    The filters' convolution matrices are laid out as one
-    (M*L, N1*(2L-1)) matrix, so one product gives every beam's response
-    on every draw. tot[p, k] is beam k's response energy on draw p and
-    main[p] the power of FU j's own beam at the central tap.
+    Each draw is one victim of linops.responses, so one product gives
+    every beam's response on every draw. tot[p, k] is beam k's response
+    energy on draw p and main[p] the power of FU j's own beam at the
+    central tap.
     """
-    M, n1, taps = g.shape
-    conv = toeplitz_conv_matrix(g).transpose(0, 3, 1, 2).reshape(
-        M * taps, n1 * (2 * taps - 1))
+    _, n1, taps = g.shape
     stats = []
     for j in range(n1):
         truths = sample_true_channels(h1[:, j, :], psi, rng, count=draws)
-        resp = (truths.reshape(draws, M * taps) @ conv).reshape(
-            draws, n1, 2 * taps - 1)
+        resp = responses(g, truths.transpose(1, 0, 2))
         tot = np.sum(np.abs(resp) ** 2, axis=2)
         main = np.abs(resp[:, j, taps - 1]) ** 2
         stats.append((tot, main))
@@ -339,8 +338,8 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
     per_psi = {}
     rows = []
     for pt in points:
-        psi = float(pt.get("psi", cfg.psi))
-        gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
+        psi = float(pt["psi"])
+        gf = _db(pt["gamma_f_db"])
         if psi not in per_psi:
             per_psi[psi] = (
                 _ball_statistics(channels.h1, g, psi, rng, draws),
@@ -376,7 +375,7 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
     per_psi = {}
     rows = []
     for pt in points:
-        psi = float(pt.get("psi", cfg.psi))
+        psi = float(pt["psi"])
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         if psi not in per_psi:
             per_psi[psi] = _robust_stacks(channels, g, psi, cfg)

@@ -14,39 +14,6 @@ _RANK_RCOND = 1e-12
 _HERMITIAN_TOL = 1e-10
 
 
-def convolve(a, b):
-    """Full linear convolution of two 1-D vectors (length |a|+|b|-1)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("convolve expects 1-D vectors")
-    if a.size == 0 or b.size == 0:
-        raise ValueError("convolve got an empty vector")
-    return np.convolve(a, b)
-
-
-def sylvester_matrix(h_rows, L):
-    """Banded (2L-1) x (M*L) matrix mapping stacked filter taps to received taps.
-
-    h_rows holds L rows of width M; row l collects tap l of all M antenna
-    CIRs.  Block-column c (0-indexed) contains the row stack shifted down by
-    c, so that for filters u (taps flattened tap-major, w[c*M+m] = u_m[c])
-    the product equals sum_m convolve(h_m, u_m).
-    """
-    rows = [np.atleast_1d(np.asarray(r)) for r in h_rows]
-    if len(rows) != L:
-        raise ValueError(f"expected {L} rows, got {len(rows)}")
-    widths = {r.shape for r in rows}
-    if len(widths) != 1 or rows[0].ndim != 1:
-        raise ValueError("rows must be 1-D and of equal width")
-    block = np.array(rows)
-    M = block.shape[1]
-    out = np.zeros((2 * L - 1, M * L), dtype=complex)
-    for c in range(L):
-        out[c:c + L, c * M:(c + 1) * M] = block
-    return out
-
-
 def toeplitz_conv_matrix(g):
     """(2L-1) x L matrix G with G @ x == convolve(g, x) for any length-L x.
 
@@ -60,6 +27,20 @@ def toeplitz_conv_matrix(g):
     lag = np.arange(2 * L - 1)[:, None] - np.arange(L)[None, :]
     inside = (lag >= 0) & (lag < L)
     return np.where(inside, g[..., np.clip(lag, 0, L - 1)], 0)
+
+
+def responses(filters, cirs):
+    """Combined response of every beam at every victim, (V, K, 2L-1).
+
+    filters (M, K, L) and cirs (M, V, L) share the M transmit antennas;
+    out[v, k] = sum_m convolve(filters[m, k], cirs[m, v]), as one product
+    of the victims' stacked taps with the filters' convolution matrices.
+    """
+    M, K, L = filters.shape
+    conv = toeplitz_conv_matrix(filters).transpose(0, 3, 1, 2).reshape(
+        M * L, K * (2 * L - 1))
+    taps = np.moveaxis(cirs, 1, 0).reshape(-1, M * L)
+    return (taps @ conv).reshape(-1, K, 2 * L - 1)
 
 
 def pseudo_inverse(A):

@@ -81,11 +81,6 @@ def _femto_coefficients(coupling):
     return sig, isi, B
 
 
-def _femto_leakage(coupling):
-    """Per-unit-power energy each TR beam leaks onto all MUs together."""
-    return coupling.energy[:coupling.n0, coupling.femto].sum(axis=0)
-
-
 def _target_margins(gamma, sig, isi, stage):
     """(d, phi) with phi = sig - gamma*isi and d = gamma/phi, per user.
 

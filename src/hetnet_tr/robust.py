@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import sample_true_given_estimate
-from .linops import toeplitz_conv_matrix
+from .linops import responses, toeplitz_conv_matrix
 from .power import (
     _femto_coefficients,
-    _femto_leakage,
     _solve_interference_lp,
     _target_margins,
 )
@@ -58,7 +57,6 @@ class RobustBounds:
     pl_sig_coeff: np.ndarray
     pu_isi_coeff: np.ndarray
     pu_co_coeff: np.ndarray
-    omega_coeff: np.ndarray
     psi: float
     variant: str
 
@@ -95,7 +93,7 @@ def _ball_bounds(g, h, psi):
     sv = np.linalg.svd(np.stack([G, off]), compute_uv=False)[..., 0]
     scale = 1.0 / (1.0 - psi)
     radii = ((np.sqrt(psi) * scale) * np.linalg.norm(h, axis=-1)).T
-    resp = np.einsum("iktl,ivl->vkt", G, h * scale)
+    resp = responses(g, h * scale)
     central = np.abs(resp[..., taps - 1])
     energy = (np.linalg.norm(resp, axis=-1) + radii @ sv[0]) ** 2
     resp[..., taps - 1] = 0.0
@@ -172,27 +170,22 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     if psi == 0.0:
         coupling = femto_coupling(channels_est, g_hat, channels_est.taps)
         pl, pu_isi, pu_co = _femto_coefficients(coupling)
-        omega = _femto_leakage(coupling)
         return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
-                            pu_co_coeff=pu_co, omega_coeff=omega, psi=psi,
-                            variant=variant)
-    n0 = channels_est.h10.shape[1]
-    # victim users: the MUs the beams leak onto, then the FUs
-    h = np.concatenate([channels_est.h10, channels_est.h1], axis=1)
+                            pu_co_coeff=pu_co, psi=psi, variant=variant)
+    h = channels_est.h1
     g = np.asarray(g_hat, dtype=complex)
     energy, isi, floor = _ball_bounds(g, h, psi)
-    pl = np.diagonal(floor[n0:]).copy()
+    pl = np.diagonal(floor).copy()
     if variant == "proposed":
         ceiling = energy
-        pu_isi = np.diagonal(isi[n0:]).copy()
+        pu_isi = np.diagonal(isi).copy()
     else:
         ceiling = _young(g, h, psi)
-        pu_isi = np.diagonal(ceiling[n0:]) - pl
-    pu_co = ceiling[n0:].copy()
+        pu_isi = np.diagonal(ceiling) - pl
+    pu_co = ceiling.copy()
     np.fill_diagonal(pu_co, 0.0)
     return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi, pu_co_coeff=pu_co,
-                        omega_coeff=ceiling[:n0].sum(axis=0), psi=psi,
-                        variant=variant)
+                        psi=psi, variant=variant)
 
 
 def solve_robust(bounds, gamma_f, p_tol, noise):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linops import responses
+
 
 @dataclass(frozen=True)
 class PowerBreakdown:
@@ -32,25 +34,19 @@ def coupling_terms(filters, cirs, taps, first=0):
 
     filters (M, K, L) and cirs (M, V, L) share the M transmit antennas.
     Returns (energy (V, K), signal (K,)): energy[v, k] sums |r|^2 over all
-    2L-1 taps of beam k's combined response r = sum_m filters[m, k] *
-    cirs[m, v], and signal[k] is |r[taps[k] - 1]|^2 at beam k's own
-    victim, first + k.
+    2L-1 taps of beam k's combined response r at victim v
+    (linops.responses), and signal[k] is |r[taps[k] - 1]|^2 at beam k's
+    own victim, first + k.
     """
-    M, K, L = filters.shape
-    V = cirs.shape[1]
+    _, K, L = filters.shape
     bands = 2 * L - 1
     taps = np.broadcast_to(np.asarray(taps, dtype=int), (K,))
     if ((taps < 1) | (taps > bands)).any():
         raise ValueError(f"selected taps {taps.tolist()} outside 1..{bands}")
-    energy = np.empty((V, K))
-    signal = np.full(K, np.nan)
-    for k in range(K):
-        for v in range(V):
-            r = sum(np.convolve(filters[m, k], cirs[m, v]) for m in range(M))
-            energy[v, k] = np.sum(np.abs(r) ** 2)
-            if v == first + k:
-                signal[k] = abs(r[taps[k] - 1]) ** 2
-    return energy, signal
+    resp = responses(filters, cirs)
+    beams = np.arange(K)
+    signal = np.abs(resp[first + beams, beams, taps - 1]) ** 2
+    return np.sum(np.abs(resp) ** 2, axis=-1), signal
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Reference implementations that only tests use.
 
 The per-candidate zero-forcing path below is the loop the vectorized
-selector in hetnet_tr.beamform replaced: it rebuilds the stacked system
-for every candidate and ranks it through explicit convolutions, so the
-selector can be checked against arithmetic it does not share.
+selector in hetnet_tr.beamform replaced: it builds the stacked system
+block by block, rebuilds it for every candidate and ranks it through
+explicit convolutions, so the selector can be checked against arithmetic
+it does not share.
 
 The power oracles likewise avoid the solvers' arithmetic: the femto check
 iterates the fixed point to convergence, and the macro check evaluates the
@@ -14,12 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hetnet_tr.beamform import (
-    _ZF_RESIDUAL_TOL,
-    _stacked_system,
-    _unflatten,
-    tr_beamformer_cirs,
-)
+from hetnet_tr.beamform import _ZF_RESIDUAL_TOL, _unflatten, tr_beamformer_cirs
 from hetnet_tr.errors import InfeasibleError, NumericalError
 from hetnet_tr.linops import pseudo_inverse
 
@@ -102,6 +98,34 @@ class ZfCandidate:
     gamma: float
 
 
+def sylvester_matrix(h_rows, L):
+    """Banded (2L-1) x (M*L) matrix mapping stacked filter taps to received taps.
+
+    h_rows holds L rows of width M; row l collects tap l of all M antenna
+    CIRs. Block-column c (0-indexed) contains the row stack shifted down by
+    c, so that for filters u (taps flattened tap-major, w[c*M+m] = u_m[c])
+    the product equals sum_m convolve(h_m, u_m).
+    """
+    rows = [np.atleast_1d(np.asarray(r)) for r in h_rows]
+    if len(rows) != L:
+        raise ValueError(f"expected {L} rows, got {len(rows)}")
+    widths = {r.shape for r in rows}
+    if len(widths) != 1 or rows[0].ndim != 1:
+        raise ValueError("rows must be 1-D and of equal width")
+    block = np.array(rows)
+    M = block.shape[1]
+    out = np.zeros((2 * L - 1, M * L), dtype=complex)
+    for c in range(L):
+        out[c:c + L, c * M:(c + 1) * M] = block
+    return out
+
+
+def stacked_system(h):
+    """Per-MU banded blocks stacked; block n spans rows n*(2L-1)..(n+1)*(2L-1)."""
+    M, N, L = h.shape
+    return np.vstack([sylvester_matrix(h[:, n, :].T, L) for n in range(N)])
+
+
 def _combined_response(filters, cirs):
     """Sum over antennas of filter-channel convolutions, length 2L-1."""
     return sum(np.convolve(filters[m], cirs[m]) for m in range(filters.shape[0]))
@@ -134,7 +158,7 @@ def zf_candidate_cirs(h, n, tap, pinv=None, strict=True):
     bands = 2 * L - 1
     if not 1 <= tap <= bands:
         raise ValueError(f"tap must lie in 1..{bands}, got {tap}")
-    H = _stacked_system(h)
+    H = stacked_system(h)
     P = pseudo_inverse(H) if pinv is None else pinv
     idx = n * bands + (tap - 1)
     w = P[:, idx].copy()
@@ -161,7 +185,7 @@ def zf_select_loop(h, strict=True):
     beamform.zf_select_cirs.
     """
     M, N, L = h.shape
-    P = pseudo_inverse(_stacked_system(h))
+    P = pseudo_inverse(stacked_system(h))
     u = np.zeros((M, N, L), dtype=complex)
     alpha = np.zeros(N, dtype=int)
     for n in range(N):

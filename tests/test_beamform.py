@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hetnet_tr.beamform import (
+    _stacked_system,
     design_beamformers,
     tr_beamformer_cirs,
     zf_select,
@@ -11,10 +12,10 @@ from hetnet_tr.beamform import (
 )
 from hetnet_tr.channel import ChannelSet
 from hetnet_tr.errors import InfeasibleError
-from hetnet_tr.linops import sylvester_matrix
 
 from helpers import crandn, random_scenario
 from oracles import (
+    stacked_system,
     tr_beamformer,
     zf_candidate,
     zf_gamma,
@@ -68,7 +69,7 @@ class TestZfCandidate:
         """Stacked system at Table defaults is 22x24 with an exact right inverse."""
         _, _, ch = random_scenario(103)
         h0 = ch.h0
-        H = np.vstack([sylvester_matrix(h0[:, n, :].T, 6) for n in range(2)])
+        H = stacked_system(h0)
         assert H.shape == (22, 24)
         from hetnet_tr.linops import pseudo_inverse
         np.testing.assert_allclose(H @ pseudo_inverse(H), np.eye(22), atol=1e-8)
@@ -151,6 +152,16 @@ class TestZfSelect:
         for n in range(4):
             assert np.linalg.norm(u[:, n, :]) == pytest.approx(1.0, rel=1e-12)
             assert 1 <= alpha[n] <= 11
+
+
+class TestStackedSystem:
+    def test_equals_block_shift_oracle(self):
+        """The transposed convolution matrices copy the banded blocks."""
+        rng = np.random.default_rng(117)
+        for draw in range(200):
+            M, N, L = (int(x) for x in rng.integers(1, 7, size=3))
+            h = crandn(rng, M, N, L)
+            assert np.array_equal(_stacked_system(h), stacked_system(h)), draw
 
 
 class TestZfSelectMatchesLoop:

@@ -50,10 +50,6 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(m0=2, n0=2).validate()
 
-    def test_error_factor_range(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(psi=1.0).validate()
-
     def test_noise_must_be_positive(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(noise_power=0.0).validate()

@@ -61,6 +61,28 @@ class TestValidateCommand:
                      "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
         assert "exp_macro must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "seed.ini"
+        bad.write_text("[scenario]\nseed = -1\n", encoding="utf-8")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--experiment", "power-compare",
+                     "--config", str(DEFAULT_INI),
+                     "--out", str(tmp_path / "r.csv"), "--trials", "1",
+                     "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert "seed must be >= 0, got -3" in err
+
+    @pytest.mark.parametrize("body", ["exp_femto = 1000", "d_femto = 1e200"])
+    def test_path_loss_overflow_exits_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "far.ini"
+        bad.write_text(f"[scenario]\n{body}\n", encoding="utf-8")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--experiment", "power-compare",
+                     "--config", str(bad),
+                     "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
+        assert "tap variance zero or not finite" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2
 

@@ -2,8 +2,10 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hetnet_tr.channel import draw_channel_set, place_nodes
 from hetnet_tr.config import Settings, load_config
 from hetnet_tr.errors import ConfigError
 
@@ -69,6 +71,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"unknown \[scenario\] key 'xi'"):
             load_config(path)
         assert main(["validate", "--config", str(path)]) == 2
+
+    def test_retired_psi_key_rejected(self, tmp_path):
+        """Every experiment that reads psi sweeps it; a config that still
+        sets psi is refused."""
+        from hetnet_tr.cli import main
+
+        path = write_ini(tmp_path, "[scenario]\npsi = 0.04\n")
+        with pytest.raises(ConfigError,
+                           match=r"unknown \[scenario\] key 'psi'"):
+            load_config(path)
+        assert main(["validate", "--config", str(path)]) == 2
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = write_ini(tmp_path, "[scenario]\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key,raw", [("exp_femto", "1000"),
+                                         ("d_femto", "1e200")])
+    def test_path_loss_beyond_double_precision_rejected(self, tmp_path, key,
+                                                        raw):
+        """The config loads, but its channels cannot be drawn."""
+        cfg = load_config(write_ini(tmp_path,
+                                    f"[scenario]\n{key} = {raw}\n")).scenario
+        rng = np.random.default_rng(cfg.seed)
+        with pytest.raises(ConfigError,
+                           match="tap variance zero or not finite"):
+            draw_channel_set(cfg, place_nodes(cfg, rng), rng)
 
     def test_unknown_experiment_key(self, tmp_path):
         path = write_ini(tmp_path, "[experiment]\nruns = 3\n")

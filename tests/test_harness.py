@@ -209,8 +209,7 @@ class TestRobustStacks:
                 ref = assemble_bounds(channels, g, pt["psi"], cfg.p_tol,
                                       cfg.noise_power, variant=variant)
                 got = stacks[variant]
-                for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff",
-                              "omega_coeff"):
+                for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
                     assert np.array_equal(getattr(got, field),
                                           getattr(ref, field))
                 try:

@@ -5,13 +5,14 @@ import pytest
 
 from hetnet_tr.errors import NumericalError
 from hetnet_tr.linops import (
-    convolve,
     dominant_eigpair,
     pseudo_inverse,
+    responses,
     spectral_radius,
-    sylvester_matrix,
     toeplitz_conv_matrix,
 )
+
+from oracles import sylvester_matrix
 
 
 def conv_oracle(a, b):
@@ -29,43 +30,60 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def single(x):
+    """One antenna's single filter or CIR, shaped (1, 1, L)."""
+    return np.asarray(x)[None, None, :]
+
+
 class TestConvolve:
+    """linops.responses, the one convolution kernel of the package."""
+
     def test_delta_is_identity(self):
         c = np.arange(6.0)
-        np.testing.assert_array_equal(convolve([1.0], c), c)
+        delta = np.eye(6)[0]
+        np.testing.assert_array_equal(
+            responses(single(delta), single(c))[0, 0],
+            np.concatenate([c, np.zeros(5)]))
 
     def test_zero_annihilates(self):
-        out = convolve(np.zeros(4), np.ones(3))
-        assert out.shape == (6,)
+        out = responses(single(np.zeros(4)), single(np.ones(4)))
+        assert out.shape == (1, 1, 7)
         assert not out.any()
 
     def test_small_case_by_hand(self):
-        np.testing.assert_array_equal(convolve([1, 2], [3, 4]), [3, 10, 8])
+        np.testing.assert_array_equal(
+            responses(single([1, 2]), single([3, 4])), [[[3, 10, 8]]])
 
     def test_matches_double_loop_oracle(self):
+        """out[v, k] sums beam k's and victim v's convolutions per antenna."""
         rng = np.random.default_rng(7)
         for _ in range(20):
-            a = crandn(rng, int(rng.integers(1, 9)))
-            b = crandn(rng, int(rng.integers(1, 9)))
-            np.testing.assert_allclose(convolve(a, b), conv_oracle(a, b),
-                                       rtol=1e-12, atol=1e-12)
+            M, K, V, L = (int(x) for x in rng.integers(1, 9, size=4))
+            f = crandn(rng, M, K, L)
+            c = crandn(rng, M, V, L)
+            out = responses(f, c)
+            assert out.shape == (V, K, 2 * L - 1)
+            for v in range(V):
+                for k in range(K):
+                    want = sum(conv_oracle(f[m, k], c[m, v]) for m in range(M))
+                    np.testing.assert_allclose(out[v, k], want,
+                                               rtol=1e-12, atol=1e-12)
 
     def test_commutative_and_bilinear(self):
         rng = np.random.default_rng(8)
-        a, b, c = crandn(rng, 5), crandn(rng, 6), crandn(rng, 6)
-        np.testing.assert_allclose(convolve(a, b), convolve(b, a), rtol=1e-12)
-        np.testing.assert_allclose(convolve(a, 2.0 * b + c),
-                                   2.0 * convolve(a, b) + convolve(a, c),
+        a = crandn(rng, 3, 2, 6)
+        b, c = crandn(rng, 3, 4, 6), crandn(rng, 3, 4, 6)
+        np.testing.assert_allclose(responses(a, b),
+                                   responses(b, a).transpose(1, 0, 2),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(responses(a, 2.0 * b + c),
+                                   2.0 * responses(a, b) + responses(a, c),
                                    rtol=1e-12, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            convolve([], [1.0])
-        with pytest.raises(ValueError):
-            convolve([1.0], [])
 
 
 class TestSylvesterMatrix:
+    """The block-shift reference the ZF stacked system is checked against."""
+
     def test_single_row_degenerates_to_row(self):
         r = np.array([1.0 + 2j, 3.0, -1j])
         H = sylvester_matrix([r], 1)

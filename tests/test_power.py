@@ -13,7 +13,6 @@ from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.power import (
     AllocationResult,
     FemtoLp,
-    _femto_leakage,
     _solve_interference_lp,
     build_femto_lp,
     cross_report,
@@ -71,7 +70,8 @@ class TestBuildFemtoLp:
         coupling = femto_coupling(ch, g, ch.taps)
         lp = build_femto_lp(coupling, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         assert lp.phi == pytest.approx(4.0)
-        assert _femto_leakage(coupling) == pytest.approx(2.0)
+        assert coupling.energy[:coupling.n0, coupling.femto].sum() == \
+            pytest.approx(2.0)
         assert leakage_weights(coupling) == pytest.approx(1.0)
         assert lp.z == pytest.approx(1e-4 + 1e-12)
         assert lp.b_matrix.shape == (1, 1) and lp.b_matrix[0, 0] == 0.0
@@ -191,7 +191,7 @@ class TestFixedPointCertificate:
     def test_robust_stage_tag(self):
         b = RobustBounds(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
                          pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]),
-                         omega_coeff=np.ones(2), psi=0.1, variant="proposed")
+                         psi=0.1, variant="proposed")
         with pytest.raises(InfeasibleError) as exc:
             solve_robust(b, 1.0, 1e-4, 1e-12)
         assert exc.value.stage == "robust"

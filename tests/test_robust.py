@@ -15,7 +15,6 @@ from hetnet_tr.harness import _bound_tightness_trial
 from hetnet_tr.linops import toeplitz_conv_matrix
 from hetnet_tr.power import (
     _femto_coefficients,
-    _femto_leakage,
     build_femto_lp,
     solve_femto,
 )
@@ -187,9 +186,8 @@ class TestAssembleBounds:
         b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
         assert isinstance(b, RobustBounds)
         assert b.pl_sig_coeff.shape == (2,) and b.pu_isi_coeff.shape == (2,)
-        assert b.pu_co_coeff.shape == (2, 2) and b.omega_coeff.shape == (2,)
-        for arr in (b.pl_sig_coeff, b.pu_isi_coeff, b.pu_co_coeff,
-                    b.omega_coeff):
+        assert b.pu_co_coeff.shape == (2, 2)
+        for arr in (b.pl_sig_coeff, b.pu_isi_coeff, b.pu_co_coeff):
             assert (arr >= 0.0).all()
         assert b.pu_co_coeff[0, 0] == 0.0 and b.pu_co_coeff[1, 1] == 0.0
 
@@ -224,7 +222,6 @@ class TestAssembleBounds:
         assert np.array_equal(bp.pl_sig_coeff, by.pl_sig_coeff)
         assert (by.pu_isi_coeff >= bp.pu_isi_coeff).all()
         assert (by.pu_co_coeff >= bp.pu_co_coeff).all()
-        assert (by.omega_coeff >= bp.omega_coeff).all()
 
     def test_young_norm_records_own_link_bounds(self):
         """The young stack holds each link's norm-product ceiling: the own
@@ -238,17 +235,6 @@ class TestAssembleBounds:
                 got = (b.pl_sig_coeff[j] + b.pu_isi_coeff[j] if j == j2
                        else b.pu_co_coeff[j, j2])
                 assert got == pytest.approx(ceiling, rel=1e-12)
-
-    def test_silent_cross_tier_means_zero_weights(self):
-        """No femto-to-macro leakage channel leaves the objective weights at zero."""
-        cfg, geo, ch, beams = designed_scenario(seed=4, n1=2)
-        quiet = ChannelSet(h0=ch.h0, h1=ch.h1,
-                           h10=np.zeros_like(ch.h10), h01=ch.h01)
-        for psi in (0.0, PSI):
-            for variant in ("proposed", "young"):
-                b = assemble_bounds(quiet, beams.g, psi, cfg.p_tol,
-                                    cfg.noise_power, variant=variant)
-                assert (b.omega_coeff == 0.0).all()
 
     def test_rejects_unknown_variant(self):
         """Only the two ceiling families are accepted."""
@@ -309,8 +295,7 @@ class TestSolveRobust:
         """A floor below the scaled ceiling raises with the robust stage tag."""
         b = RobustBounds(pl_sig_coeff=np.array([1.0]),
                          pu_isi_coeff=np.array([2.0]),
-                         pu_co_coeff=np.zeros((1, 1)),
-                         omega_coeff=np.array([1.0]), psi=PSI,
+                         pu_co_coeff=np.zeros((1, 1)), psi=PSI,
                          variant="proposed")
         with pytest.raises(InfeasibleError) as err:
             solve_robust(b, 1.0, 1e-4, 1e-12)
@@ -408,8 +393,8 @@ class TestBallProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(psi=st.floats(0.001, 0.5), **LINK_SETS)
     def test_sampled_channels_within_bounds(self, seed, m, n0, n1, taps, psi):
-        """Floor <= sampled signal; sampled ISI, co-channel and leakage
-        energies <= their ceilings, in both stacks."""
+        """Floor <= sampled signal; sampled ISI and co-channel energies
+        <= their ceilings, in both stacks."""
         ch, g, rng = random_link_set(seed, m, n0, n1, taps)
         stacks = [assemble_bounds(ch, g, psi, 1e-4, 1e-12, variant=v)
                   for v in ("proposed", "young")]
@@ -419,11 +404,6 @@ class TestBallProperties:
             resp = np.einsum("iktl,pil->pkt", G, truths)
             return np.sum(np.abs(resp) ** 2, axis=2), resp
 
-        leak = sum(energies(sample_true_channels(ch.h10[:, n, :], psi, rng,
-                                                 count=200))[0]
-                   for n in range(n0))
-        for b in stacks:
-            assert (leak <= b.omega_coeff * (1 + 1e-9)).all()
         for j in range(n1):
             energy, resp = energies(sample_true_channels(ch.h1[:, j, :], psi,
                                                          rng, count=200))
@@ -445,16 +425,15 @@ class TestBallProperties:
         ch, g, _ = random_link_set(seed, m, n0, n1, taps)
         coupling = femto_coupling(ch, g, ch.taps)
         sig, isi, co = _femto_coefficients(coupling)
-        omega = _femto_leakage(coupling)
         scale = float(np.max(coupling.energy))
         for variant in ("proposed", "young"):
             b = assemble_bounds(ch, g, 0.0, 1e-4, 1e-12, variant=variant)
             for got, want in ((b.pl_sig_coeff, sig), (b.pu_isi_coeff, isi),
-                              (b.pu_co_coeff, co), (b.omega_coeff, omega)):
+                              (b.pu_co_coeff, co)):
                 assert np.array_equal(got, want)
         near = assemble_bounds(ch, g, 1e-20, 1e-4, 1e-12, variant="proposed")
         for got, want in ((near.pl_sig_coeff, sig), (near.pu_isi_coeff, isi),
-                          (near.pu_co_coeff, co), (near.omega_coeff, omega)):
+                          (near.pu_co_coeff, co)):
             np.testing.assert_allclose(got, want, rtol=1e-6,
                                        atol=1e-9 * scale)
 

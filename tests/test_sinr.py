@@ -16,7 +16,8 @@ from hetnet_tr.sinr import (
     victim_sinrs,
 )
 
-from helpers import designed_scenario
+from helpers import crandn, designed_scenario
+from oracles import _combined_response
 
 
 def reconstruct_received_energy(filters_by_user, powers, victim_cirs):
@@ -148,6 +149,30 @@ class TestVictimRows:
                                  cross_override=1e-9)
         with pytest.raises(ValueError):
             mu_breakdown(ch, broken, np.ones(2), p1, 1, noise_power=1e-12)
+
+
+class TestCouplingTerms:
+    def test_matches_convolution_oracle(self):
+        """Energies and sampled powers equal per-antenna convolution sums."""
+        rng = np.random.default_rng(219)
+        for draw in range(100):
+            M, K, L = (int(x) for x in rng.integers(1, 5, size=3))
+            first = int(rng.integers(0, 3))
+            V = first + K + int(rng.integers(0, 3))
+            taps = rng.integers(1, 2 * L, size=K)
+            filters = crandn(rng, M, K, L)
+            cirs = crandn(rng, M, V, L)
+            energy, signal = coupling_terms(filters, cirs, taps, first=first)
+            for k in range(K):
+                for v in range(V):
+                    r = _combined_response(filters[:, k], cirs[:, v])
+                    np.testing.assert_allclose(
+                        energy[v, k], np.sum(np.abs(r) ** 2), rtol=1e-12,
+                        err_msg=f"draw {draw}")
+                    if v == first + k:
+                        np.testing.assert_allclose(
+                            signal[k], abs(r[taps[k] - 1]) ** 2, rtol=1e-12,
+                            err_msg=f"draw {draw}")
 
 
 class TestVictimSinrs:
