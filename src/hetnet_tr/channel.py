@@ -134,6 +134,16 @@ class ScenarioConfig:
             raise ConfigError("noise_power must be positive")
         if min(self.d_macro, self.d_femto, self.d_mbs_fbs) <= 0.0:
             raise ConfigError("radii and placement distance must be positive")
+        # place_nodes squares every link distance, and none exceeds this
+        far = float(self.d_mbs_fbs) + max(float(self.d_macro),
+                                          float(self.d_femto))
+        if not np.isfinite(far * far):
+            key = max(("d_macro", "d_femto", "d_mbs_fbs"),
+                      key=lambda k: getattr(self, k))
+            raise ConfigError(
+                f"{key} = {getattr(self, key):g} m puts the farthest link, "
+                f"d_mbs_fbs + max(d_macro, d_femto) = {far:g} m, beyond "
+                f"double precision: its square is not finite")
         return self
 
 
@@ -238,24 +248,18 @@ _LINK_RULES = {
 }
 
 
-def draw_channel_set(config, geometry, rng, profiles=None):
+def draw_channel_set(config, geometry, rng):
     """Draw all four link groups for one placement.
 
     Macro links use the Vehicular profile (exponent 4), femto links the
     Indoor Office profile (exponent 3), and both cross-tier groups the
     Outdoor-to-Indoor profile (exponent 3.5) at their own geometry.
-    `profiles` may override any of the four groups by key.
     """
-    profiles = profiles or {}
-
-    def prof(group):
-        key, exp_attr = _LINK_RULES[group]
-        return profiles.get(group, get_profile(key)), getattr(config, exp_attr)
-
     L = config.taps
 
     def stack(group, n_tx, dists):
-        p, exp = prof(group)
+        key, exp_attr = _LINK_RULES[group]
+        p, exp = get_profile(key), getattr(config, exp_attr)
         return np.array([
             [draw_cir(p, d, exp, L, rng) for d in dists]
             for _ in range(n_tx)

@@ -17,12 +17,7 @@ from .beamform import design_beamformers, tr_beamformer_cirs, zf_select_cirs
 from .channel import draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError
 from .linops import responses
-from .power import (
-    build_femto_lp,
-    solve_centralized,
-    solve_femto,
-    solve_proposed,
-)
+from .power import solve_centralized, solve_proposed
 from .robust import (
     assemble_bounds,
     proposed_upper,
@@ -32,7 +27,7 @@ from .robust import (
     worst_signal_lower,
     young_upper,
 )
-from .sinr import couple, coupling_terms, femto_coupling, victim_sinrs
+from .sinr import Coupling, couple, coupling_terms, victim_sinrs
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +76,9 @@ _SWEEP_RANGES = {
 }
 
 EXPERIMENTS = tuple(_VALUE_KEYS)
+
+# femto designs of the robust experiments, in CSV column order
+_DESIGNS = ("nonrobust", "proposed", "young")
 
 
 @dataclass(frozen=True)
@@ -227,16 +225,16 @@ def _tr_vs_zf_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
     h1 = channels.h1
     n1 = h1.shape[1]
-    tr_terms = coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps)
+    tr = Coupling(0, *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
     u_zf, taps_zf = zf_select_cirs(h1, strict=False)
-    zf_terms = coupling_terms(u_zf, h1, taps_zf)
+    zf = Coupling(0, *coupling_terms(u_zf, h1, taps_zf))
     keys = _VALUE_KEYS["tr-vs-zf"]
     rows = []
     for pt in points:
         powers = np.full(n1, _dbm(pt["p_dbm"]))
         # one tier alone, against the tolerated cross-tier floor
-        s_tr = victim_sinrs(*tr_terms, powers, 0, cfg.noise_power, cfg.p_tol)
-        s_zf = victim_sinrs(*zf_terms, powers, 0, cfg.noise_power, cfg.p_tol)
+        s_tr = victim_sinrs(tr, powers, cfg.noise_power, cfg.p_tol)
+        s_zf = victim_sinrs(zf, powers, cfg.noise_power, cfg.p_tol)
         # dB per trial so the summary mean is tail-robust (geometric)
         rows.append(_record(trial, pt, keys,
                             (float(10.0 * np.log10(np.mean(s_tr))),
@@ -275,24 +273,20 @@ def _robust_stacks(channels, g, psi, cfg):
             for variant in ("proposed", "young")}
 
 
-def _robust_designs(coupling, stacks, gamma_f, cfg):
+def _robust_designs(nominal, stacks, gamma_f, cfg):
     """Non-robust and both robust allocations; None marks infeasibility.
 
-    coupling is the trial's femto_coupling of its TR beams and stacks the
-    _robust_stacks of those beams at the row's psi.
+    nominal is the trial's psi = 0 stack, the exact-CSI coefficients of
+    its TR beams, and stacks the _robust_stacks of those beams at the
+    row's psi; one solve serves all three.
     """
     designs = {}
-    try:
-        designs["nonrobust"] = solve_femto(
-            build_femto_lp(coupling, gamma_f, cfg.p_tol, cfg.noise_power))
-    except InfeasibleError:
-        designs["nonrobust"] = None
-    for variant, bounds in stacks.items():
+    for label, bounds in (("nonrobust", nominal), *stacks.items()):
         try:
-            designs[variant] = solve_robust(bounds, gamma_f, cfg.p_tol,
-                                            cfg.noise_power)
+            designs[label] = solve_robust(bounds, gamma_f, cfg.p_tol,
+                                          cfg.noise_power)
         except InfeasibleError:
-            designs[variant] = None
+            designs[label] = None
     return designs
 
 
@@ -301,37 +295,57 @@ def _design_row(designs):
 
     A row is feasible only when all three designs solve.
     """
-    labels = ("nonrobust", "proposed", "young")
-    solved = [designs[k] is not None for k in labels]
+    solved = [designs[k] is not None for k in _DESIGNS]
     powers = [float(np.sum(designs[k])) if ok else float("nan")
-              for k, ok in zip(labels, solved)]
+              for k, ok in zip(_DESIGNS, solved)]
     return powers, [1.0 if ok else 0.0 for ok in solved], all(solved)
 
 
 def _ball_statistics(h1, g, psi, rng, draws):
-    """Per FU j, (tot, main) of every TR beam over j's sampled true channels.
+    """(tot, main) of every TR beam over each FU's sampled true channels.
 
-    Each draw is one victim of linops.responses, so one product gives
-    every beam's response on every draw. tot[p, k] is beam k's response
-    energy on draw p and main[p] the power of FU j's own beam at the
-    central tap.
+    Each draw is one victim of linops.responses, so one product per FU
+    gives every beam's response on every draw of that FU. tot[j, p, k] is
+    beam k's response energy on FU j's draw p and main[j, p] the power of
+    FU j's own beam at the central tap there.
     """
     _, n1, taps = g.shape
-    stats = []
+    tot = np.empty((n1, draws, n1))
+    main = np.empty((n1, draws))
     for j in range(n1):
         truths = sample_true_channels(h1[:, j, :], psi, rng, count=draws)
         resp = responses(g, truths.transpose(1, 0, 2))
-        tot = np.sum(np.abs(resp) ** 2, axis=2)
-        main = np.abs(resp[:, j, taps - 1]) ** 2
-        stats.append((tot, main))
-    return stats
+        tot[j] = np.sum(np.abs(resp) ** 2, axis=2)
+        main[j] = np.abs(resp[:, j, taps - 1]) ** 2
+    return tot, main
+
+
+def _ball_outages(tot, main, designs, gamma_f, floor):
+    """Each design's fraction of (FU, draw) pairs below the SINR target.
+
+    tot and main are _ball_statistics; a design that did not solve scores
+    nan. Every solved design, FU and draw is scored in one array
+    expression.
+    """
+    n1, draws = main.shape
+    solved = [k for k in _DESIGNS if designs[k] is not None]
+    p = np.array([designs[k] for k in solved]).reshape(len(solved), n1)
+    fu = np.arange(n1)
+    own = tot[fu, :, fu]
+    p_own = p[:, :, None]
+    sig = p_own * main
+    isi = p_own * (own - main)
+    co = np.matmul(tot, p[:, None, :, None])[..., 0] - p_own * own
+    achieved = sig / (isi + co + floor)
+    miss = np.count_nonzero(achieved < gamma_f * (1.0 - 1e-6), axis=(1, 2))
+    outage = {k: int(m) / float(draws * n1) for k, m in zip(solved, miss)}
+    return [outage.get(k, float("nan")) for k in _DESIGNS]
 
 
 def _fu_outage_trial(trial, cfg, points, extra, seed):
     channels, rng = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
-    femto = femto_coupling(channels, g, channels.taps)
-    n1 = g.shape[1]
+    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
     draws = int(extra["error_draws"])
     keys = _VALUE_KEYS["fu-outage"]
     floor = cfg.p_tol + cfg.noise_power
@@ -344,23 +358,9 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
             per_psi[psi] = (
                 _ball_statistics(channels.h1, g, psi, rng, draws),
                 _robust_stacks(channels, g, psi, cfg))
-        stats, stacks = per_psi[psi]
-        designs = _robust_designs(femto, stacks, gf, cfg)
-        outages = []
-        for label in ("nonrobust", "proposed", "young"):
-            p1 = designs[label]
-            if p1 is None:
-                outages.append(float("nan"))
-                continue
-            miss = 0
-            for j in range(n1):
-                tot, main = stats[j]
-                sig = p1[j] * main
-                isi = p1[j] * (tot[:, j] - main)
-                co = tot @ p1 - p1[j] * tot[:, j]
-                achieved = sig / (isi + co + floor)
-                miss += int(np.count_nonzero(achieved < gf * (1.0 - 1e-6)))
-            outages.append(miss / float(draws * n1))
+        (tot, main), stacks = per_psi[psi]
+        designs = _robust_designs(nominal, stacks, gf, cfg)
+        outages = _ball_outages(tot, main, designs, gf, floor)
         powers, flags, feasible = _design_row(designs)
         rows.append(_record(trial, pt, keys,
                             (*outages, *powers, *flags), feasible))
@@ -370,7 +370,7 @@ def _fu_outage_trial(trial, cfg, points, extra, seed):
 def _robust_power_trial(trial, cfg, points, extra, seed):
     channels, _ = _draw_scenario(cfg, seed, trial)
     g = tr_beamformer_cirs(channels.h1)
-    femto = femto_coupling(channels, g, channels.taps)
+    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
     keys = _VALUE_KEYS["robust-power"]
     per_psi = {}
     rows = []
@@ -379,7 +379,7 @@ def _robust_power_trial(trial, cfg, points, extra, seed):
         gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
         if psi not in per_psi:
             per_psi[psi] = _robust_stacks(channels, g, psi, cfg)
-        designs = _robust_designs(femto, per_psi[psi], gf, cfg)
+        designs = _robust_designs(nominal, per_psi[psi], gf, cfg)
         powers, flags, feasible = _design_row(designs)
         rows.append(_record(trial, pt, keys, (*powers, *flags), feasible))
     return rows

@@ -73,9 +73,9 @@ class AllocationResult:
 
 def _femto_coefficients(coupling):
     """Per-unit-power (signal, isi, co-matrix) coefficients for the femto tier."""
-    cols = coupling.femto
-    sig = coupling.signal[cols].copy()
-    B = coupling.energy[coupling.n0:, cols].copy()
+    fu = coupling.femto
+    sig = coupling.signal[fu].copy()
+    B = coupling.energy[fu, fu].copy()
     isi = np.diagonal(B) - sig
     np.fill_diagonal(B, 0.0)
     return sig, isi, B
@@ -98,11 +98,7 @@ def _target_margins(gamma, sig, isi, stage):
 
 
 def build_femto_lp(coupling, gamma_f, p_tol, noise):
-    """Assemble the femto fixed-point coefficients of coupling's TR beams.
-
-    coupling holds the TR beams alone (sinr.femto_coupling) or with the
-    ZF beams (sinr.couple).
-    """
+    """Assemble the femto fixed-point coefficients of coupling's TR beams."""
     N = coupling.n1
     gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
     sig, isi, B = _femto_coefficients(coupling)
@@ -138,7 +134,7 @@ def cross_report(coupling, p1):
     """Cross-tier interference each MU receives from the femto allocation.
 
     These N0 scalars are the only femto-side quantities the macro tier
-    sees. coupling is as in build_femto_lp.
+    sees.
     """
     return (coupling.energy[:coupling.n0, coupling.femto] * p1).sum(axis=1)
 
@@ -150,9 +146,7 @@ def macro_coefficients(coupling, cross_star, noise):
     uplink-dual co-tier term); nabla carries the reported cross power plus
     noise; caps[n, j] is the per-unit-power interference each MU's beam
     inflicts on FU j. Own-ISI is clamped at zero: for an exact ZF beam it
-    is zero, and rounding can leave it a few ulp below. coupling holds
-    the ZF beams alone (sinr.macro_coupling) or with the TR beams
-    (sinr.couple).
+    is zero, and rounding can leave it a few ulp below.
     """
     N0 = coupling.n0
     energy = coupling.energy[:, coupling.macro]
@@ -204,7 +198,7 @@ def solve_macro(coupling, gamma_m, p_tol, cross_star, noise):
 
     Returns (p, MacroStats()). Raises InfeasibleError naming the violated
     cap (or the unreachable SINR target); the error detail carries the
-    capped power. coupling is as in macro_coefficients.
+    capped power.
     """
     delta, nabla, caps = macro_coefficients(coupling, cross_star, noise)
     gamma = np.broadcast_to(np.asarray(gamma_m, dtype=float), delta.shape)
@@ -229,10 +223,7 @@ def solve_macro(coupling, gamma_m, p_tol, cross_star, noise):
 
 
 def _centralized_system(coupling, gamma_m, gamma_f, noise):
-    """Stacked (I - F) p = v coefficients over MUs then FUs.
-
-    coupling must hold every beam (sinr.couple).
-    """
+    """Stacked (I - F) p = v coefficients over MUs then FUs."""
     N0, N1 = coupling.n0, coupling.n1
     gam = np.concatenate([
         np.broadcast_to(np.asarray(gamma_m, dtype=float), (N0,)),
@@ -247,15 +238,11 @@ def _centralized_system(coupling, gamma_m, gamma_f, noise):
 
 
 def solve_centralized(coupling, gamma_m, gamma_f, noise):
-    """Joint minimal-power allocation with every SINR constraint stacked.
-
-    coupling must hold every beam (sinr.couple); a coupling of one tier
-    alone raises ValueError.
-    """
+    """Joint minimal-power allocation with every SINR constraint stacked."""
     mu, fu = coupling.macro, coupling.femto
     F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
     p = _solve_interference_lp(np.ones_like(v), F, v, "centralized")
-    s = victim_sinrs(coupling.energy, coupling.signal, p, coupling.n0, noise)
+    s = victim_sinrs(coupling, p, noise)
     return AllocationResult(
         p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],
         cross_report=cross_report(coupling, p[fu]),
@@ -278,8 +265,7 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     p1 = solve_femto(build_femto_lp(coupling, gamma_f, p_tol, noise))
     cross = cross_report(coupling, p1)
     p0, _ = solve_macro(coupling, gamma_m, p_tol, cross, noise)
-    s = victim_sinrs(coupling.energy, coupling.signal,
-                     np.concatenate([p0, p1]), coupling.n0, noise,
+    s = victim_sinrs(coupling, np.concatenate([p0, p1]), noise,
                      cross_override=p_tol)
     return AllocationResult(
         p0=p0, p1=p1, sinr_mu=s[:coupling.n0], sinr_fu=s[coupling.n0:],

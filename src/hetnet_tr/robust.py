@@ -40,7 +40,7 @@ from .power import (
     _solve_interference_lp,
     _target_margins,
 )
-from .sinr import femto_coupling
+from .sinr import Coupling, coupling_terms
 
 _VARIANTS = ("proposed", "young")
 
@@ -159,21 +159,21 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     from it; variant picks the interference ceiling family. Both share the
     exact signal floor. `proposed` ceilings the ISI directly; `young`
     ceilings the whole own-link energy and leaves the floor's share of it
-    as ISI. psi = 0 reproduces the exact-CSI coefficients bit for bit so
-    the downstream solve collapses onto the nominal path.
+    as ISI. psi = 0 gives the exact-CSI coefficients of the TR beams
+    alone, so solve_robust of that stack is the non-robust femto design.
     """
     psi = _check_psi(psi)
     if variant not in _VARIANTS:
         raise ValueError(f"unknown bound variant {variant!r}")
     if float(p_tol) < 0.0 or float(noise) < 0.0:
         raise ValueError("tolerated interference and noise must be nonnegative")
-    if psi == 0.0:
-        coupling = femto_coupling(channels_est, g_hat, channels_est.taps)
-        pl, pu_isi, pu_co = _femto_coefficients(coupling)
-        return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
-                            pu_co_coeff=pu_co, psi=psi, variant=variant)
     h = channels_est.h1
     g = np.asarray(g_hat, dtype=complex)
+    if psi == 0.0:
+        femto = Coupling(0, *coupling_terms(g, h, channels_est.taps))
+        pl, pu_isi, pu_co = _femto_coefficients(femto)
+        return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
+                            pu_co_coeff=pu_co, psi=psi, variant=variant)
     energy, isi, floor = _ball_bounds(g, h, psi)
     pl = np.diagonal(floor).copy()
     if variant == "proposed":
@@ -314,19 +314,17 @@ def worst_case_oracle(g_hat, h_hat, psi, n_probes=2000, n_ascent=60, rng=None):
                             probes=evaluations + used_max + used_min)
 
 
-def sample_true_channels(h_hat, psi, rng, count=None):
-    """Draw true channels h = h_hat - e with e uniform over the error set.
+def sample_true_channels(h_hat, psi, rng, count):
+    """Draw count true channels h = h_hat - e, e uniform over the error set.
 
     Antennas are independent: each row's admissible errors form their own
     shifted ball, sampled uniformly (sample_true_given_estimate does the
-    ball geometry). Returns (count, M, L), or (M, L) when count is None.
+    ball geometry). Returns (count, M, L).
     """
     psi = _check_psi(psi)
     h = np.asarray(h_hat, dtype=complex)
-    k = 1 if count is None else int(count)
-    if k < 1:
+    count = int(count)
+    if count < 1:
         raise ValueError("count must be a positive integer")
-    rows = [sample_true_given_estimate(h[i], psi, rng, k)
-            for i in range(h.shape[0])]
-    true = np.stack(rows, axis=1)
-    return true[0] if count is None else true
+    return np.stack([sample_true_given_estimate(h[i], psi, rng, count)
+                     for i in range(h.shape[0])], axis=1)

@@ -51,19 +51,17 @@ def coupling_terms(filters, cirs, taps, first=0):
 
 @dataclass(frozen=True)
 class Coupling:
-    """Per-unit-power coupling of one realization's beams with its users.
+    """Per-unit-power coupling of one realization's R beams with R victims.
 
-    Rows are the victim users, the N0 MUs then the N1 FUs. Beams (columns)
-    serve users first, first+1, ...: all R = N0 + N1 beams (first = 0),
-    the N0 ZF beams alone (first = 0) or the N1 TR beams alone
-    (first = N0). energy[v, k] is beam k's response energy at victim v;
-    signal[k] is beam k's power at its own victim's sampling tap. Only
-    couple, macro_coupling and femto_coupling build it, and the power
-    layer reads the beams through it alone.
+    Beam v serves victim v, and the first n0 of each are the MUs (ZF
+    beams), the rest the FUs (TR beams). energy[v, k] is beam k's response
+    energy at victim v; signal[v] is beam v's power at its own victim's
+    sampling tap. couple builds it for both tiers; one tier alone is
+    Coupling(0, *coupling_terms(filters, cirs, taps)). The power layer
+    reads the beams through it alone.
     """
 
     n0: int
-    first: int
     energy: np.ndarray
     signal: np.ndarray
 
@@ -73,33 +71,27 @@ class Coupling:
 
     @property
     def macro(self):
-        """Columns of the ZF beams."""
-        if self.first != 0:
-            raise ValueError("coupling holds no ZF beams")
+        """Rows and columns of the MUs and their ZF beams."""
         return slice(0, self.n0)
 
     @property
     def femto(self):
-        """Columns of the TR beams."""
-        start = self.n0 - self.first
-        if start + self.n1 > self.energy.shape[1]:
-            raise ValueError("coupling holds no TR beams")
-        return slice(start, start + self.n1)
+        """Rows and columns of the FUs and their TR beams."""
+        return slice(self.n0, self.energy.shape[0])
 
     def breakdown(self, v, p0, p1, noise_power, cross_override=None):
         """Power components at victim v (MUs then FUs).
 
         p0 and p1 are the macro and femto powers; cross_override replaces
         the other tier's term, which is then not read: p0 may be None at
-        an FU, and a coupling of the TR beams alone serves.
+        an FU.
         """
         mu = v < self.n0
         own, own_p = (self.macro, p0) if mu else (self.femto, p1)
         row = self.energy[v]
-        col = v - self.first
-        k = col - own.start
-        main = own_p[k] * self.signal[col]
-        isi = own_p[k] * row[col] - main
+        k = v - own.start
+        main = own_p[k] * self.signal[v]
+        isi = own_p[k] * row[v] - main
         same = own_p * row[own]
         same[k] = 0.0
         if cross_override is not None:
@@ -111,16 +103,14 @@ class Coupling:
                               noise=noise_power)
 
 
-def victim_sinrs(energy, signal, powers, n0, noise, cross_override=None):
-    """SINR of every victim, the n0 MUs then the FUs.
+def victim_sinrs(coupling, powers, noise, cross_override=None):
+    """SINR of every victim of a Coupling, the MUs then the FUs.
 
-    energy (R, R) and signal (R,) couple R beams with their R victim users,
-    victim v's own beam in column v (a Coupling of every beam, or
-    coupling_terms of one tier alone with n0 = 0); powers (R,) are the
-    transmit powers. Beams of a victim's own tier add co-tier
-    interference, the others cross-tier interference; cross_override,
-    when given, replaces the cross-tier term at every FU.
+    powers (R,) are the transmit powers of its beams. Beams of a victim's
+    own tier add co-tier interference, the others cross-tier interference;
+    cross_override, when given, replaces the cross-tier term at every FU.
     """
+    energy, n0 = coupling.energy, coupling.n0
     p = np.asarray(powers, dtype=float)
     weighted = energy * p
     np.fill_diagonal(weighted, 0.0)
@@ -130,34 +120,21 @@ def victim_sinrs(energy, signal, powers, n0, noise, cross_override=None):
     cross = np.where(same, 0.0, weighted).sum(axis=1)
     if cross_override is not None:
         cross[n0:] = cross_override
-    isi = p * (np.diagonal(energy) - signal)
-    return p * signal / (isi + co + cross + noise)
-
-
-def macro_coupling(channels, u, alpha):
-    """Coupling of the ZF beams alone."""
-    energy, signal = coupling_terms(
-        u, np.concatenate([channels.h0, channels.h01], axis=1), alpha)
-    return Coupling(n0=channels.h0.shape[1], first=0, energy=energy,
-                    signal=signal)
-
-
-def femto_coupling(channels, g, beta):
-    """Coupling of the TR beams alone, all sampled at tap beta."""
-    n0 = channels.h10.shape[1]
-    energy, signal = coupling_terms(
-        g, np.concatenate([channels.h10, channels.h1], axis=1), beta,
-        first=n0)
-    return Coupling(n0=n0, first=n0, energy=energy, signal=signal)
+    isi = p * (np.diagonal(energy) - coupling.signal)
+    return p * coupling.signal / (isi + co + cross + noise)
 
 
 def couple(channels, beams):
     """Every beam of a BeamformerSet against every victim."""
-    macro = macro_coupling(channels, beams.u, beams.alpha)
-    femto = femto_coupling(channels, beams.g, beams.beta)
-    return Coupling(n0=macro.n0, first=0,
-                    energy=np.hstack([macro.energy, femto.energy]),
-                    signal=np.concatenate([macro.signal, femto.signal]))
+    n0 = channels.h0.shape[1]
+    macro = coupling_terms(
+        beams.u, np.concatenate([channels.h0, channels.h01], axis=1),
+        beams.alpha)
+    femto = coupling_terms(
+        beams.g, np.concatenate([channels.h10, channels.h1], axis=1),
+        beams.beta, first=n0)
+    return Coupling(n0, np.hstack([macro[0], femto[0]]),
+                    np.concatenate([macro[1], femto[1]]))
 
 
 def mu_breakdown(channels, beams, p0, p1, n, noise_power):
@@ -174,14 +151,13 @@ def fu_breakdown(channels, beams, p0, p1, j, noise_power,
     the femto tier commits its allocation. The macro beams are then not
     read.
     """
-    v = channels.h0.shape[1] + j
-    if cross_override is None:
-        if p0 is None:
-            raise ValueError("need macro powers or an explicit cross override")
-        coupling = couple(channels, beams)
-    else:
-        coupling = femto_coupling(channels, beams.g, beams.beta)
-    return coupling.breakdown(v, p0, p1, noise_power, cross_override)
+    if cross_override is not None:
+        femto = Coupling(0, *coupling_terms(beams.g, channels.h1, beams.beta))
+        return femto.breakdown(j, p0, p1, noise_power, cross_override)
+    if p0 is None:
+        raise ValueError("need macro powers or an explicit cross override")
+    return couple(channels, beams).breakdown(channels.h0.shape[1] + j, p0, p1,
+                                             noise_power)
 
 
 def sinr(b):

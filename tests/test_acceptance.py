@@ -36,7 +36,9 @@ from hetnet_tr.robust import (
     worst_signal_lower,
     young_upper,
 )
-from hetnet_tr.sinr import couple, femto_coupling, fu_breakdown, sinr
+from hetnet_tr.sinr import couple, fu_breakdown, sinr
+
+from helpers import tr_coupling
 
 from oracles import (
     leakage_weights,
@@ -116,7 +118,7 @@ def test_femto_allocation_matches_fixed_point(capsys):
         seed += 1
         g = tr_beamformer_cirs(ch.h1)
         try:
-            coupling = femto_coupling(ch, g, ch.taps)
+            coupling = tr_coupling(ch, g, ch.taps)
             lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol,
                                 cfg.noise_power)
             p = solve_femto(lp)
@@ -323,7 +325,7 @@ def test_error_ball_outage_protection(capsys):
                 dom_low_bad += 1
 
     # why a robust design is infeasible at the documented target: its
-    # worst-case signal-to-ISI ratio sits below the target (no power
+    # signal floor is at or below gamma_f times its ISI ceiling (no power
     # helps), or the co-channel ceilings push the spectral radius to 1
     gamma = 10.0 ** 0.2
     causes = {"proposed": [0, 0], "young": [0, 0]}
@@ -344,9 +346,9 @@ def test_error_ball_outage_protection(capsys):
           and len(out_n) > 0 and float(np.mean(out_n)) > 0.0
           and dom_violations == 0)
     reason = "; ".join(
-        f"{variant} infeasible on {isi + rho}/100 ({isi} with the worst-case "
-        f"signal-to-ISI ratio below 2 dB, {rho} with co-channel spectral "
-        f"radius >= 1)"
+        f"{variant} infeasible on {isi + rho}/100 ({isi} with the signal "
+        f"floor at or below gamma_f times the ISI ceiling, {rho} with "
+        f"co-channel spectral radius >= 1)"
         for variant, (isi, rho) in causes.items())
     line = emit(
         capsys, ok, "error ball outage protection",

@@ -75,13 +75,19 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("body", ["exp_femto = 1000", "d_femto = 1e200"])
     def test_path_loss_overflow_exits_2(self, tmp_path, capsys, body):
+        """The exponent fails when channels are drawn, the radius at load."""
+        message = {"exp_femto = 1000": "tap variance zero or not finite",
+                   "d_femto = 1e200": "d_femto = 1e+200 m puts the farthest "
+                                      "link"}[body]
         bad = tmp_path / "far.ini"
         bad.write_text(f"[scenario]\n{body}\n", encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 2
         assert main(["run", "--experiment", "power-compare",
                      "--config", str(bad),
                      "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 2
-        assert "tap variance zero or not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count(message) == 2
+        assert "inf m" not in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2

@@ -92,9 +92,16 @@ class TestLoadConfig:
                                          ("d_femto", "1e200")])
     def test_path_loss_beyond_double_precision_rejected(self, tmp_path, key,
                                                         raw):
-        """The config loads, but its channels cannot be drawn."""
-        cfg = load_config(write_ini(tmp_path,
-                                    f"[scenario]\n{key} = {raw}\n")).scenario
+        """A radius whose link distances have no finite square fails at load
+        time; an exponent whose path loss overflows loads, but its channels
+        cannot be drawn."""
+        path = write_ini(tmp_path, f"[scenario]\n{key} = {raw}\n")
+        if key == "d_femto":
+            with pytest.raises(ConfigError,
+                               match=r"d_femto = 1e\+200 m .* not finite"):
+                load_config(path)
+            return
+        cfg = load_config(path).scenario
         rng = np.random.default_rng(cfg.seed)
         with pytest.raises(ConfigError,
                            match="tap variance zero or not finite"):

@@ -19,6 +19,7 @@ from hetnet_tr.harness import (
     _fu_outage_trial,
     _mu_outage_trial,
     _power_compare_trial,
+    _robust_designs,
     _robust_power_trial,
     _robust_stacks,
     _tr_vs_zf_trial,
@@ -226,15 +227,41 @@ class TestRobustStacks:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append((args[2], kwargs["variant"]))
+            calls.append((args[2], kwargs.get("variant")))
             return assemble_bounds(*args, **kwargs)
 
         monkeypatch.setattr(harness, "assemble_bounds", counting)
         points = [{"psi": psi, "gamma_f_db": gf}
                   for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
         _fu_outage_trial(0, ScenarioConfig(), points, {"error_draws": 5}, 5)
-        assert sorted(calls) == [(0.02, "proposed"), (0.02, "young"),
+        # the non-robust design's psi = 0 stack is built once per trial
+        assert sorted(calls) == [(0.0, None),
+                                 (0.02, "proposed"), (0.02, "young"),
                                  (0.04, "proposed"), (0.04, "young")]
+
+    def test_nonrobust_design_is_the_nominal_femto_design(self):
+        """The psi = 0 stack of the TR beams alone and the FU block of the
+        trial's full coupling give one femto design."""
+        cfg = ScenarioConfig()
+        compared = 0
+        for trial in range(24):
+            channels, _ = _draw_scenario(cfg, 12345, trial)
+            coupling = couple(channels, design_beamformers(channels))
+            nominal = assemble_bounds(channels,
+                                      tr_beamformer_cirs(channels.h1), 0.0,
+                                      cfg.p_tol, cfg.noise_power)
+            for gf in (10.0 ** -0.6, 10.0 ** -0.2, 10.0 ** 0.2):
+                robust = _robust_designs(nominal, {}, gf, cfg)["nonrobust"]
+                try:
+                    alloc = solve_proposed(channels, cfg.gamma_m, gf,
+                                           cfg.p_tol, cfg.noise_power,
+                                           coupling=coupling)
+                except InfeasibleError as exc:
+                    assert exc.stage == "femto" and robust is None
+                    continue
+                np.testing.assert_allclose(robust, alloc.p1, rtol=1e-12)
+                compared += 1
+        assert compared >= 60
 
     def test_ball_statistics_match_convolutions(self):
         """The one-product responses equal per-beam convolutions."""
@@ -242,20 +269,19 @@ class TestRobustStacks:
         channels, _ = _draw_scenario(cfg, 5, 0)
         g = tr_beamformer_cirs(channels.h1)
         M, n1, taps = g.shape
-        stats = _ball_statistics(channels.h1, g, 0.04,
-                                 np.random.default_rng(3), 4)
+        tot, main = _ball_statistics(channels.h1, g, 0.04,
+                                     np.random.default_rng(3), 4)
         rng = np.random.default_rng(3)
         for j in range(n1):
             truths = sample_true_channels(channels.h1[:, j, :], 0.04, rng,
                                           count=4)
-            tot, main = stats[j]
             for p, truth in enumerate(truths):
                 for k in range(n1):
                     r = sum(np.convolve(g[i, k], truth[i]) for i in range(M))
-                    assert tot[p, k] == pytest.approx(
+                    assert tot[j, p, k] == pytest.approx(
                         float(np.sum(np.abs(r) ** 2)), rel=1e-12)
                     if k == j:
-                        assert main[p] == pytest.approx(
+                        assert main[j, p] == pytest.approx(
                             abs(r[taps - 1]) ** 2, rel=1e-12)
 
 
@@ -313,27 +339,31 @@ class TestRunExperiment:
         run_experiment(spec, cfg)
         assert (tmp_path / "out.csv").read_bytes() == first
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = ScenarioConfig()
-        spec = spec_for("bound-tightness", tmp_path, trials=3,
-                        sweep={"psi": (0.05,)})
-        monkeypatch.setenv("HETNET_TR_THREADS", "1")
-        run_experiment(spec, cfg)
-        serial = (tmp_path / "out.csv").read_bytes()
-        monkeypatch.setenv("HETNET_TR_THREADS", "2")
-        run_experiment(spec, cfg)
-        assert (tmp_path / "out.csv").read_bytes() == serial
+    # small runs per experiment: (trials, sweep)
+    WORKER_RUNS = {
+        "power-compare": (3, {"gamma_m_db": (-1.0, 1.0),
+                              "gamma_f_db": (0.0, 2.0)}),
+        "mu-outage": (3, {"gamma_m_db": (0.0, 2.0)}),
+        "tr-vs-zf": (3, {"p_dbm": (20.0, 30.0)}),
+        "bound-tightness": (3, {"psi": (0.05,)}),
+        "fu-outage": (3, {"psi": (0.04,), "gamma_f_db": (-6.0, 0.0)}),
+        "robust-power": (3, {"psi": (0.0, 0.04), "gamma_f_db": (-6.0,)}),
+    }
 
-    def test_power_compare_worker_count_does_not_change_bytes(
-            self, tmp_path, monkeypatch):
-        """Beams and coupling built once per trial stay per-trial objects."""
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch,
+                                                name):
+        """Per-trial objects (beams, couplings, stacks, error draws) stay
+        per-trial: one worker and two write the same bytes."""
+        trials, sweep = self.WORKER_RUNS[name]
         cfg = ScenarioConfig()
-        spec = spec_for("power-compare", tmp_path, trials=4, seed=12345)
+        spec = spec_for(name, tmp_path, trials=trials, sweep=sweep,
+                        seed=12345)
         monkeypatch.setenv("HETNET_TR_THREADS", "1")
-        run_experiment(spec, cfg)
+        run_experiment(spec, cfg, error_draws=50)
         serial = (tmp_path / "out.csv").read_bytes()
         monkeypatch.setenv("HETNET_TR_THREADS", "2")
-        run_experiment(spec, cfg)
+        run_experiment(spec, cfg, error_draws=50)
         assert (tmp_path / "out.csv").read_bytes() == serial
 
     def test_exact_zf_own_isi_rounding_does_not_abort(self, tmp_path):

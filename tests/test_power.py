@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import designed_scenario, random_scenario
+from helpers import designed_scenario, random_scenario, tr_coupling
 
 from hetnet_tr.beamform import design_beamformers
 from hetnet_tr.channel import ChannelSet
@@ -27,9 +27,7 @@ from hetnet_tr.robust import RobustBounds, solve_robust
 from hetnet_tr.sinr import (
     Coupling,
     couple,
-    femto_coupling,
     fu_breakdown,
-    macro_coupling,
     mu_breakdown,
     sinr,
 )
@@ -67,7 +65,7 @@ class TestBuildFemtoLp:
         z is raw."""
         ch = single_user_channels()
         g = tr_beams(ch)
-        coupling = femto_coupling(ch, g, ch.taps)
+        coupling = tr_coupling(ch, g, ch.taps)
         lp = build_femto_lp(coupling, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         assert lp.phi == pytest.approx(4.0)
         assert coupling.energy[:coupling.n0, coupling.femto].sum() == \
@@ -78,7 +76,7 @@ class TestBuildFemtoLp:
 
     def test_invariants_random(self):
         cfg, geo, ch, beams = designed_scenario(seed=71, n1=3)
-        coupling = femto_coupling(ch, beams.g, ch.taps)
+        coupling = couple(ch, beams)
         lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         eta = leakage_weights(coupling)
         assert np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-12)
@@ -91,7 +89,7 @@ class TestBuildFemtoLp:
         """A target beyond the signal-to-self-interference ratio has no power."""
         cfg, geo, ch, beams = designed_scenario(seed=72)
         with pytest.raises(InfeasibleError) as exc:
-            build_femto_lp(femto_coupling(ch, beams.g, ch.taps), 1e9,
+            build_femto_lp(couple(ch, beams), 1e9,
                            cfg.p_tol, cfg.noise_power)
         assert exc.value.stage == "femto"
 
@@ -99,7 +97,7 @@ class TestBuildFemtoLp:
 class TestSolveFemto:
     def test_single_user_closed_form(self):
         ch = single_user_channels()
-        lp = build_femto_lp(femto_coupling(ch, tr_beams(ch), ch.taps),
+        lp = build_femto_lp(tr_coupling(ch, tr_beams(ch), ch.taps),
                             gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         p = solve_femto(lp)
         assert p[0] == pytest.approx(1.5 * (1e-4 + 1e-12) / 4.0, rel=1e-14)
@@ -109,7 +107,7 @@ class TestSolveFemto:
         for seed in (11, 12, 13):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=4,
                                                     gamma_f_db=-4.0)
-            lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
+            lp = build_femto_lp(couple(ch, beams),
                                 cfg.gamma_f, cfg.p_tol, cfg.noise_power)
             p = solve_femto(lp)
             F = lp.d_diag[:, None] * lp.b_matrix
@@ -120,7 +118,7 @@ class TestSolveFemto:
     def test_every_constraint_active(self):
         """At the minimal point each FU sits exactly on its SINR target."""
         cfg, geo, ch, beams = designed_scenario(seed=21, n1=3)
-        lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
+        lp = build_femto_lp(couple(ch, beams),
                             cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
         for j in range(3):
@@ -131,7 +129,7 @@ class TestSolveFemto:
 
     def test_gamma_monotone(self):
         cfg, geo, ch, beams = designed_scenario(seed=24, n1=2)
-        coupling = femto_coupling(ch, beams.g, ch.taps)
+        coupling = couple(ch, beams)
         lo = solve_femto(build_femto_lp(coupling, 1.0, cfg.p_tol,
                                         cfg.noise_power))
         hi = solve_femto(build_femto_lp(coupling, 2.0, cfg.p_tol,
@@ -199,8 +197,7 @@ class TestFixedPointCertificate:
 
     def test_centralized_stage_tag(self):
         """Two users whose stacked coupling has radius 2 at unit targets."""
-        coupling = Coupling(n0=1, first=0,
-                            energy=np.array([[1.0, 2.0], [2.0, 1.0]]),
+        coupling = Coupling(n0=1, energy=np.array([[1.0, 2.0], [2.0, 1.0]]),
                             signal=np.ones(2))
         with pytest.raises(InfeasibleError) as exc:
             solve_centralized(coupling, 1.0, 1.0, 1e-12)
@@ -221,7 +218,7 @@ class TestDisplayForm:
     def test_relation_to_solver(self):
         """Weight-normalized form times the weights recovers the powers."""
         cfg, geo, ch, beams = designed_scenario(seed=13, n1=3)
-        coupling = femto_coupling(ch, beams.g, ch.taps)
+        coupling = couple(ch, beams)
         lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         eta = leakage_weights(coupling)
         np.testing.assert_allclose(weight_factored_powers(lp, eta) * eta,
@@ -229,7 +226,7 @@ class TestDisplayForm:
 
     def test_single_user_forms_coincide(self):
         ch = single_user_channels()
-        coupling = femto_coupling(ch, tr_beams(ch), ch.taps)
+        coupling = tr_coupling(ch, tr_beams(ch), ch.taps)
         lp = build_femto_lp(coupling, gamma_f=2.0, p_tol=1e-4, noise=1e-12)
         eta = leakage_weights(coupling)
         assert weight_factored_powers(lp, eta)[0] == pytest.approx(
@@ -255,7 +252,7 @@ class TestCrossReport:
     def test_matches_victim_breakdown(self):
         """Report entries equal the cross term seen by each MU."""
         cfg, geo, ch, beams = designed_scenario(seed=41, n1=3)
-        coupling = femto_coupling(ch, beams.g, ch.taps)
+        coupling = couple(ch, beams)
         lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
         rep = cross_report(coupling, p1)
@@ -267,12 +264,12 @@ class TestCrossReport:
 
     def test_zero_power_zero_report(self):
         cfg, geo, ch, beams = designed_scenario(seed=42)
-        rep = cross_report(femto_coupling(ch, beams.g, ch.taps), np.zeros(2))
+        rep = cross_report(couple(ch, beams), np.zeros(2))
         np.testing.assert_array_equal(rep, 0.0)
 
     def test_single_pair_scaling(self):
         ch = single_user_channels()
-        rep = cross_report(femto_coupling(ch, tr_beams(ch), ch.taps),
+        rep = cross_report(tr_coupling(ch, tr_beams(ch), ch.taps),
                            np.array([3.0]))
         assert rep == pytest.approx([3.0, 3.0])
 
@@ -347,24 +344,24 @@ class TestSolveMacro:
     def test_end_to_end_meets_targets(self):
         """ZF beams plus a femto report: every MU lands on its target."""
         cfg, geo, ch, beams = designed_scenario(seed=65)
-        femto = femto_coupling(ch, beams.g, ch.taps)
-        macro = macro_coupling(ch, beams.u, beams.alpha)
-        lp = build_femto_lp(femto, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        coupling = couple(ch, beams)
+        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         p1 = solve_femto(lp)
-        cross = cross_report(femto, p1)
-        p0, _ = solve_macro(macro, cfg.gamma_m, cfg.p_tol, cross,
+        cross = cross_report(coupling, p1)
+        p0, _ = solve_macro(coupling, cfg.gamma_m, cfg.p_tol, cross,
                             cfg.noise_power)
         for n in range(2):
             b = mu_breakdown(ch, beams, p0, p1, n,
                              noise_power=cfg.noise_power)
             assert sinr(b) == pytest.approx(cfg.gamma_m, rel=1e-4)
-        delta, nabla, caps = macro_coefficients(macro, cross, cfg.noise_power)
+        delta, nabla, caps = macro_coefficients(coupling, cross,
+                                                cfg.noise_power)
         assert np.all(caps * p0[:, None] < cfg.p_tol)
 
     def test_matches_oracle_through_coefficients(self):
         cfg, geo, ch, beams = designed_scenario(seed=62)
         cross = np.full(2, 1e-9)
-        macro = macro_coupling(ch, beams.u, beams.alpha)
+        macro = couple(ch, beams)
         delta, nabla, caps = macro_coefficients(macro, cross, cfg.noise_power)
         p0, _ = solve_macro(macro, cfg.gamma_m, cfg.p_tol, cross,
                             cfg.noise_power)
@@ -377,7 +374,7 @@ class TestSolveMacro:
         cfg, geo, ch, beams = designed_scenario(seed=66, m0=6, n0=3)
         cross = np.array([1e-9, 2e-9, 3e-9])
         delta, nabla, caps = macro_coefficients(
-            macro_coupling(ch, beams.u, beams.alpha), cross, cfg.noise_power)
+            couple(ch, beams), cross, cfg.noise_power)
         p1 = np.zeros(2)
         for n in range(3):
             p0 = np.eye(3)[n]
@@ -398,7 +395,7 @@ class TestSolveMacro:
         cfg, geo, ch, beams = designed_scenario(seed=63)
         cross = np.full(2, 1e-9)
         with pytest.raises(InfeasibleError) as exc:
-            solve_macro(macro_coupling(ch, beams.u, beams.alpha),
+            solve_macro(couple(ch, beams),
                         cfg.gamma_m, 1e-30, cross, cfg.noise_power)
         assert exc.value.stage == "macro"
         assert "cap" in str(exc.value)
@@ -407,7 +404,7 @@ class TestSolveMacro:
         cfg, geo, ch, beams = designed_scenario(seed=64)
         cross = np.full(2, 1e-9)
         with pytest.raises(InfeasibleError) as exc:
-            solve_macro(macro_coupling(ch, beams.u, beams.alpha), 1e18,
+            solve_macro(couple(ch, beams), 1e18,
                         cfg.p_tol, cross, cfg.noise_power)
         assert exc.value.stage == "macro"
 
@@ -483,7 +480,7 @@ class TestSolveProposed:
         assert np.all(res.sinr_mu >= cfg.gamma_m * (1 - 1e-5))
         assert res.total_power == pytest.approx(res.p0.sum() + res.p1.sum())
         rep = cross_report(
-            femto_coupling(ch, design_beamformers(ch).g, ch.taps), res.p1)
+            couple(ch, design_beamformers(ch)), res.p1)
         np.testing.assert_allclose(res.cross_report, rep, rtol=1e-12)
 
     def test_femto_stage_tag(self):
@@ -545,16 +542,3 @@ class TestSharedTrialLinks:
                 assert np.array_equal(cent.p1, cent_shared.p1)
                 solved += 1
         assert solved >= 20
-
-    def test_partial_coupling_refuses_the_other_tier(self):
-        cfg, geo, ch, beams = designed_scenario(seed=95)
-        femto = femto_coupling(ch, beams.g, beams.beta)
-        macro = macro_coupling(ch, beams.u, beams.alpha)
-        with pytest.raises(ValueError):
-            macro_coefficients(femto, np.zeros(2), cfg.noise_power)
-        with pytest.raises(ValueError):
-            build_femto_lp(macro, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
-        for partial in (femto, macro):
-            with pytest.raises(ValueError):
-                solve_centralized(partial, cfg.gamma_m, cfg.gamma_f,
-                                  cfg.noise_power)

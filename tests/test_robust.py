@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import crandn, designed_scenario
+from helpers import crandn, designed_scenario, tr_coupling
 
 from hetnet_tr.channel import ChannelSet, ScenarioConfig
 from hetnet_tr.errors import InfeasibleError
@@ -29,7 +29,7 @@ from hetnet_tr.robust import (
     worst_signal_lower,
     young_upper,
 )
-from hetnet_tr.sinr import femto_coupling
+from hetnet_tr.sinr import Coupling, couple, coupling_terms
 
 PSI = 0.04
 
@@ -192,11 +192,10 @@ class TestAssembleBounds:
         assert b.pu_co_coeff[0, 0] == 0.0 and b.pu_co_coeff[1, 1] == 0.0
 
     def test_zero_error_collapses_to_estimate_coefficients(self):
-        """psi=0 reuses the exact-CSI coefficient routine verbatim."""
+        """psi=0 gives the exact-CSI coefficients of the full coupling."""
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
         b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
-        sig, isi, co = _femto_coefficients(
-            femto_coupling(ch, beams.g, ch.taps))
+        sig, isi, co = _femto_coefficients(couple(ch, beams))
         assert np.array_equal(b.pl_sig_coeff, sig)
         assert np.array_equal(b.pu_isi_coeff, isi)
         assert np.array_equal(b.pu_co_coeff, co)
@@ -249,8 +248,8 @@ class TestSolveRobust:
         """psi=0 runs the identical closed form and reproduces solve_femto bits."""
         for seed in (0, 1, 2):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
-            lp = build_femto_lp(femto_coupling(ch, beams.g, ch.taps),
-                                cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+            lp = build_femto_lp(couple(ch, beams), cfg.gamma_f, cfg.p_tol,
+                                cfg.noise_power)
             nominal = solve_femto(lp)
             b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
             robust = solve_robust(b, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
@@ -420,12 +419,22 @@ class TestBallProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**LINK_SETS)
     def test_zero_error_is_nominal_stack(self, seed, m, n0, n1, taps):
-        """psi = 0 gives the nominal stack bit for bit, and the ball
-        closed forms tend to it as psi shrinks."""
+        """psi = 0 gives the nominal stack of the TR beams alone bit for bit,
+        and the ball closed forms tend to it as psi shrinks.
+
+        The FU block of a full coupling is the same stack to rounding: bit
+        for bit when n1 >= 2, while one FU's single victim row takes
+        numpy's matrix-vector product instead of the matrix product."""
         ch, g, _ = random_link_set(seed, m, n0, n1, taps)
-        coupling = femto_coupling(ch, g, ch.taps)
-        sig, isi, co = _femto_coefficients(coupling)
+        alone = Coupling(0, *coupling_terms(g, ch.h1, ch.taps))
+        sig, isi, co = _femto_coefficients(alone)
+        coupling = tr_coupling(ch, g, ch.taps)
         scale = float(np.max(coupling.energy))
+        for got, want in zip((sig, isi, co), _femto_coefficients(coupling)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-15 * scale)
+            if n1 >= 2:
+                assert np.array_equal(got, want)
         for variant in ("proposed", "young"):
             b = assemble_bounds(ch, g, 0.0, 1e-4, 1e-12, variant=variant)
             for got, want in ((b.pl_sig_coeff, sig), (b.pu_isi_coeff, isi),
@@ -450,19 +459,20 @@ class TestSampleTrueChannels:
         assert (lhs <= rhs * (1 + 1e-9)).all()
 
     def test_shapes(self):
-        """count=None gives one channel set, count=k stacks k of them."""
+        """count=k stacks k channel sets."""
         g, h = femto_link(seed=23)
         rng = np.random.default_rng(230)
-        one = sample_true_channels(h, PSI, rng)
+        one = sample_true_channels(h, PSI, rng, count=1)
         many = sample_true_channels(h, PSI, rng, count=7)
-        assert one.shape == h.shape
+        assert one.shape == (1,) + h.shape
         assert many.shape == (7,) + h.shape
 
     def test_zero_error_returns_estimate(self):
         """psi=0 reproduces the estimate exactly."""
         g, h = femto_link(seed=24)
         rng = np.random.default_rng(240)
-        np.testing.assert_array_equal(sample_true_channels(h, 0.0, rng), h)
+        np.testing.assert_array_equal(
+            sample_true_channels(h, 0.0, rng, count=1), h[None])
 
     def test_rejects_bad_count(self):
         """Nonpositive draw counts are refused."""

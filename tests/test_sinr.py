@@ -6,10 +6,10 @@ import pytest
 from hetnet_tr.beamform import BeamformerSet, design_beamformers
 from hetnet_tr.channel import ChannelSet
 from hetnet_tr.sinr import (
+    Coupling,
     PowerBreakdown,
     couple,
     coupling_terms,
-    femto_coupling,
     fu_breakdown,
     mu_breakdown,
     sinr,
@@ -187,8 +187,7 @@ class TestVictimSinrs:
         p = np.concatenate([p0, p1])
         noise = cfg.noise_power
         for override in (None, cfg.p_tol):
-            got = victim_sinrs(coupling.energy, coupling.signal, p, 2, noise,
-                               cross_override=override)
+            got = victim_sinrs(coupling, p, noise, cross_override=override)
             for v in range(2 + n1):
                 fu_override = override if v >= 2 else None
                 ref = sinr(coupling.breakdown(v, p0, p1, noise, fu_override))
@@ -198,13 +197,13 @@ class TestVictimSinrs:
         """n0 = 0: one tier's own coupling against a fixed cross term."""
         cfg, _, ch, beams = designed_scenario(216, n1=3)
         p1 = np.array([0.2, 0.5, 0.9])
-        energy, signal = coupling_terms(beams.g, ch.h1, beams.beta)
-        got = victim_sinrs(energy, signal, p1, 0, cfg.noise_power,
+        femto = Coupling(0, *coupling_terms(beams.g, ch.h1, beams.beta))
+        got = victim_sinrs(femto, p1, cfg.noise_power,
                            cross_override=cfg.p_tol)
-        femto = femto_coupling(ch, beams.g, beams.beta)
+        full = couple(ch, beams)
         for j in range(3):
-            ref = sinr(femto.breakdown(2 + j, None, p1, cfg.noise_power,
-                                       cfg.p_tol))
+            ref = sinr(full.breakdown(2 + j, None, p1, cfg.noise_power,
+                                      cfg.p_tol))
             assert got[j] == pytest.approx(ref, rel=1e-12)
 
 
