@@ -8,8 +8,8 @@ class ConfigError(ValueError):
 class InfeasibleError(RuntimeError):
     """Raised when a power-allocation problem has no feasible solution.
 
-    stage identifies which solver gave up (e.g. "femto", "macro",
-    "centralized", "zf"); detail carries the diagnostic the caller
+    stage identifies which solver gave up (e.g. "femto", "robust",
+    "macro", "centralized", "zf"); detail carries the diagnostic the caller
     would otherwise have to recompute.
     """
 

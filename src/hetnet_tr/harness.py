@@ -3,10 +3,13 @@
 Experiments are trial-parallel. Every trial derives its own generator
 from (seed, trial id), so output bytes depend only on (spec, config) and
 never on worker count or scheduling; HETNET_TR_THREADS sets the worker
-count (default 1, at most os.cpu_count()).
+count (default 1, at most os.cpu_count()). Workers are spawned, so they
+import the package afresh, and a script that runs an experiment on more
+than one worker needs an `if __name__ == "__main__":` guard.
 """
 
 import itertools
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,6 +109,13 @@ class ExperimentSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.output_path:
             raise ConfigError("output path must be non-empty")
+        # checked before any trial runs, not when the CSV is written
+        folder = os.path.dirname(self.output_path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write output: no directory {folder!r}")
+        if os.path.isdir(self.output_path):
+            raise ConfigError(f"cannot write output: {self.output_path!r} "
+                              "is a directory")
         allowed = set(_SWEEP_ORDER[self.name])
         for key, values in self.sweep.items():
             if key not in allowed:
@@ -480,7 +490,9 @@ def run_experiment(spec, config, error_draws=10_000):
         batches = [_trial_worker(p) for p in payloads]
     else:
         chunk = max(1, spec.trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=spawn) as pool:
             batches = list(pool.map(_trial_worker, payloads,
                                     chunksize=chunk))
     rows = [r for batch in batches for r in batch]

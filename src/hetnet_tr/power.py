@@ -1,9 +1,9 @@
 """Power allocation for both tiers.
 
-Femto tier: the SINR constraints with the tolerated cross-tier level form
-a linear fixed-point system p >= D B p + D z whose minimal solution is the
-matrix-inverse closed form; the cross-interference actually caused is then
-reported to the macro tier as N0 scalars.
+Femto tier: with the tolerated cross-tier level, the FU SINR constraints
+form a linear fixed point whose minimal solution is the matrix-inverse
+closed form; the cross-interference actually caused is then reported to
+the macro tier as N0 scalars.
 
 Macro tier: with the report in hand, each user's problem decouples into
 minimize p subject to p/(delta p + nabla) >= gamma and caps p <= p_tol,
@@ -13,10 +13,14 @@ meets the tightest cap.
 Centralized reference: all N0+N1 SINR constraints stacked into one linear
 fixed point, solved exactly; it lower-bounds the two-step scheme's power.
 
-The femto, robust (robust.solve_robust) and centralized fixed points share
-one solve, which is also their feasibility test: with DB >= 0 and Dz > 0,
-(I - DB) p = Dz has a nonnegative solution exactly when the spectral
-radius of DB is below one (the M-matrix characterization), and that
+The femto, robust (robust.solve_robust) and centralized designs are one
+fixed point over one target-free FixedPoint stack: exact coefficients of
+a Coupling block (coupling_stack), or floors and ceilings from
+robust.assemble_bounds. solve_fixed_point applies the SINR target and
+solves it once, which is also the feasibility test: with d = gamma/phi
+and phi the signal a unit of power keeps above its own ISI,
+(I - d co) p = d z has a nonnegative solution exactly when the spectral
+radius of d co is below one (the M-matrix characterization), and that
 solution is then positive. The sign of the solution is the certificate,
 so no eigenvalue is computed.
 
@@ -34,18 +38,21 @@ from .sinr import couple, victim_sinrs
 
 
 @dataclass(frozen=True)
-class FemtoLp:
-    """Coefficients of the femto-tier fixed-point problem.
+class FixedPoint:
+    """Per-unit-power SINR coefficients of n users, free of any target.
 
-    b_matrix rows are victim users: b[j, j'] couples user j' power into
-    user j's constraint. z holds the raw tolerated-plus-noise watts; the
-    gamma/phi diagonal (d_diag) multiplies it inside the solve.
+    pl_sig_coeff[j] is the power a unit of p_j puts at user j's sampling
+    tap, pu_isi_coeff[j] the rest of its own response energy, and
+    pu_co_coeff[j, j2] the energy of user j2's beam at user j (zero
+    diagonal). User j meets its target gamma_j when
+    p_j pl_sig_coeff[j] >= gamma_j (p_j pu_isi_coeff[j] + (pu_co_coeff p)[j]
+    + z_j). Exact channels give the coefficients themselves, the robust
+    design floors and ceilings on them.
     """
 
-    b_matrix: np.ndarray
-    d_diag: np.ndarray
-    phi: np.ndarray
-    z: np.ndarray
+    pl_sig_coeff: np.ndarray
+    pu_isi_coeff: np.ndarray
+    pu_co_coeff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,52 +78,46 @@ class AllocationResult:
     total_power: float
 
 
-def _femto_coefficients(coupling):
-    """Per-unit-power (signal, isi, co-matrix) coefficients for the femto tier."""
-    fu = coupling.femto
-    sig = coupling.signal[fu].copy()
-    B = coupling.energy[fu, fu].copy()
-    isi = np.diagonal(B) - sig
-    np.fill_diagonal(B, 0.0)
-    return sig, isi, B
+def coupling_stack(coupling, block=slice(None)):
+    """Exact FixedPoint of the users in one block of a Coupling.
 
-
-def _target_margins(gamma, sig, isi, stage):
-    """(d, phi) with phi = sig - gamma*isi and d = gamma/phi, per user.
-
-    phi is the signal a unit of power keeps above its own ISI at the SINR
-    target; where it is not positive no power meets the target, and
-    InfeasibleError(stage) is raised.
+    block slices both axes: coupling.femto for the femto tier, the whole
+    coupling for the centralized stack.
     """
-    phi = sig - gamma * isi
+    sig = coupling.signal[block].copy()
+    co = coupling.energy[block, block].copy()
+    isi = np.diagonal(co) - sig
+    np.fill_diagonal(co, 0.0)
+    return FixedPoint(pl_sig_coeff=sig, pu_isi_coeff=isi, pu_co_coeff=co)
+
+
+def build_femto_lp(coupling):
+    """FixedPoint of coupling's FUs and TR beams."""
+    return coupling_stack(coupling, coupling.femto)
+
+
+def solve_fixed_point(stack, gamma, z, stage):
+    """Minimal powers meeting every target of a FixedPoint with equality.
+
+    gamma (the SINR targets) and z (the interference-plus-noise watts no
+    power controls) broadcast over the users. With phi = sig - gamma*isi
+    and d = gamma/phi, the powers are the fixed point (I - d co) p = d z.
+    Where phi is not positive no power meets the target; otherwise the
+    fixed point exists exactly when the solve returns a finite, positive
+    p. Either failure, or a singular system, raises InfeasibleError(stage).
+    """
+    sig = stack.pl_sig_coeff
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), sig.shape)
+    phi = sig - gamma * stack.pu_isi_coeff
     if (phi <= 0.0).any():
         bad = int(np.argmin(phi))
         raise InfeasibleError(
             stage, f"SINR target unreachable at any power for user {bad} "
             f"(phi={phi[bad]:.3e})")
-    return gamma / phi, phi
-
-
-def build_femto_lp(coupling, gamma_f, p_tol, noise):
-    """Assemble the femto fixed-point coefficients of coupling's TR beams."""
-    N = coupling.n1
-    gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (N,))
-    sig, isi, B = _femto_coefficients(coupling)
-    d, phi = _target_margins(gamma, sig, isi, "femto")
-    return FemtoLp(b_matrix=B, d_diag=d, phi=phi, z=np.full(N, p_tol + noise))
-
-
-def _solve_interference_lp(d_diag, b_matrix, z, stage):
-    """Minimal solution of p >= D(Bp + z): the exact fixed point (I-DB)^-1 Dz.
-
-    DB must be nonnegative and Dz positive. The fixed point exists exactly
-    when the solve returns a finite, positive p; a singular system or any
-    other solution raises InfeasibleError(stage).
-    """
-    n = z.shape[0]
-    A = np.eye(n) - d_diag[:, None] * b_matrix
+    d = gamma / phi
+    A = np.eye(sig.size) - d[:, None] * stack.pu_co_coeff
     try:
-        p = np.linalg.solve(A, d_diag * z)
+        p = np.linalg.solve(A, d * z)
     except np.linalg.LinAlgError:
         p = None
     if p is None or not (np.isfinite(p).all() and (p > 0.0).all()):
@@ -125,9 +126,9 @@ def _solve_interference_lp(d_diag, b_matrix, z, stage):
     return p
 
 
-def solve_femto(lp):
-    """Minimal femto powers meeting every FU SINR constraint with equality."""
-    return _solve_interference_lp(lp.d_diag, lp.b_matrix, lp.z, "femto")
+def solve_femto(stack, gamma_f, p_tol, noise):
+    """Minimal femto powers meeting every FU SINR target against p_tol."""
+    return solve_fixed_point(stack, gamma_f, p_tol + noise, "femto")
 
 
 def cross_report(coupling, p1):
@@ -222,26 +223,15 @@ def solve_macro(coupling, gamma_m, p_tol, cross_star, noise):
     return p, MacroStats()
 
 
-def _centralized_system(coupling, gamma_m, gamma_f, noise):
-    """Stacked (I - F) p = v coefficients over MUs then FUs."""
-    N0, N1 = coupling.n0, coupling.n1
-    gam = np.concatenate([
-        np.broadcast_to(np.asarray(gamma_m, dtype=float), (N0,)),
-        np.broadcast_to(np.asarray(gamma_f, dtype=float), (N1,)),
-    ])
-    sig = coupling.signal
-    coup = coupling.energy.copy()
-    own_isi = np.diagonal(coup) - sig
-    np.fill_diagonal(coup, 0.0)
-    d, phi = _target_margins(gam, sig, own_isi, "centralized")
-    return d[:, None] * coup, gam * noise / phi
-
-
 def solve_centralized(coupling, gamma_m, gamma_f, noise):
     """Joint minimal-power allocation with every SINR constraint stacked."""
     mu, fu = coupling.macro, coupling.femto
-    F, v = _centralized_system(coupling, gamma_m, gamma_f, noise)
-    p = _solve_interference_lp(np.ones_like(v), F, v, "centralized")
+    gamma = np.concatenate([
+        np.broadcast_to(np.asarray(gamma_m, dtype=float), (coupling.n0,)),
+        np.broadcast_to(np.asarray(gamma_f, dtype=float), (coupling.n1,)),
+    ])
+    p = solve_fixed_point(coupling_stack(coupling), gamma, noise,
+                          "centralized")
     s = victim_sinrs(coupling, p, noise)
     return AllocationResult(
         p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],
@@ -262,7 +252,7 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     """
     if coupling is None:
         coupling = couple(channels, design_beamformers(channels))
-    p1 = solve_femto(build_femto_lp(coupling, gamma_f, p_tol, noise))
+    p1 = solve_femto(build_femto_lp(coupling), gamma_f, p_tol, noise)
     cross = cross_report(coupling, p1)
     p0, _ = solve_macro(coupling, gamma_m, p_tol, cross, noise)
     s = victim_sinrs(coupling, np.concatenate([p0, p1]), noise,

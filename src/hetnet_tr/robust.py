@@ -23,10 +23,11 @@ ISI by the same expression with the central row of every G_i dropped.
 These fill the `proposed` stack. The `young` stack keeps the looser
 norm-product ceiling (sum_i ||g_i||_1 ||h_hat_i|| / (1 - sqrt(psi)))^2,
 from ||G_i||_2 <= ||g_i||_1 and the largest norm ||c_i|| + r_i the ball
-admits. Either coefficient stack drops into the same fixed-point
-allocation as the exact-CSI path. An empirical oracle extremizes the
-true response functionals over the exact ball so the closed forms can be
-audited instead of trusted.
+admits. Either stack is a power.FixedPoint, the type of the exact-CSI
+coefficients, and solve_robust is the exact-CSI fixed point over it
+(power.solve_fixed_point) with the robust stage tag. An empirical oracle
+extremizes the true response functionals over the exact ball so the
+closed forms can be audited instead of trusted.
 """
 
 from dataclasses import dataclass
@@ -35,30 +36,10 @@ import numpy as np
 
 from .channel import sample_true_given_estimate
 from .linops import responses, toeplitz_conv_matrix
-from .power import (
-    _femto_coefficients,
-    _solve_interference_lp,
-    _target_margins,
-)
+from .power import FixedPoint, coupling_stack, solve_fixed_point
 from .sinr import Coupling, coupling_terms
 
 _VARIANTS = ("proposed", "young")
-
-
-@dataclass(frozen=True)
-class RobustBounds:
-    """Per-unit-power worst-case coefficient stack for the femto tier.
-
-    Rows follow the victim convention of the exact-CSI path:
-    pu_co_coeff[j, j2] ceilings user j2's leakage into user j's link.
-    variant records which ceiling family filled the isi/co slots.
-    """
-
-    pl_sig_coeff: np.ndarray
-    pu_isi_coeff: np.ndarray
-    pu_co_coeff: np.ndarray
-    psi: float
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -153,14 +134,15 @@ def proposed_upper(g_hat, h_hat, psi):
 
 
 def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
-    """Worst-case coefficient stack for the femto allocation.
+    """Worst-case FixedPoint stack for the femto allocation.
 
     channels_est holds the estimated CIR set and g_hat the TR filters built
     from it; variant picks the interference ceiling family. Both share the
     exact signal floor. `proposed` ceilings the ISI directly; `young`
     ceilings the whole own-link energy and leaves the floor's share of it
-    as ISI. psi = 0 gives the exact-CSI coefficients of the TR beams
-    alone, so solve_robust of that stack is the non-robust femto design.
+    as ISI. psi = 0 gives the exact stack of the TR beams' single-tier
+    coupling (power.build_femto_lp of it), so solve_robust of that stack
+    is the non-robust femto design.
     """
     psi = _check_psi(psi)
     if variant not in _VARIANTS:
@@ -171,9 +153,7 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     g = np.asarray(g_hat, dtype=complex)
     if psi == 0.0:
         femto = Coupling(0, *coupling_terms(g, h, channels_est.taps))
-        pl, pu_isi, pu_co = _femto_coefficients(femto)
-        return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi,
-                            pu_co_coeff=pu_co, psi=psi, variant=variant)
+        return coupling_stack(femto)
     energy, isi, floor = _ball_bounds(g, h, psi)
     pl = np.diagonal(floor).copy()
     if variant == "proposed":
@@ -184,24 +164,17 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
         pu_isi = np.diagonal(ceiling) - pl
     pu_co = ceiling.copy()
     np.fill_diagonal(pu_co, 0.0)
-    return RobustBounds(pl_sig_coeff=pl, pu_isi_coeff=pu_isi, pu_co_coeff=pu_co,
-                        psi=psi, variant=variant)
+    return FixedPoint(pl_sig_coeff=pl, pu_isi_coeff=pu_isi, pu_co_coeff=pu_co)
 
 
 def solve_robust(bounds, gamma_f, p_tol, noise):
     """Minimal femto powers meeting every worst-case SINR constraint.
 
-    Same fixed-point structure as the exact-CSI solve, with the signal and
-    interference coefficients swapped for their floor/ceiling counterparts;
-    at the solution every worst-case constraint holds with equality.
-    Raises InfeasibleError("robust") when no power meets them.
+    The exact-CSI femto solve over a floor/ceiling stack; at the solution
+    every worst-case constraint holds with equality. Raises
+    InfeasibleError("robust") when no power meets them.
     """
-    n = bounds.pl_sig_coeff.shape[0]
-    gamma = np.broadcast_to(np.asarray(gamma_f, dtype=float), (n,))
-    d, _ = _target_margins(gamma, bounds.pl_sig_coeff, bounds.pu_isi_coeff,
-                           "robust")
-    return _solve_interference_lp(d, bounds.pu_co_coeff,
-                                  np.full(n, p_tol + noise), "robust")
+    return solve_fixed_point(bounds, gamma_f, p_tol + noise, "robust")
 
 
 def _project_errors(e, h_hat, psi):

@@ -31,33 +31,46 @@ class KktCheck:
     feasible: np.ndarray
 
 
+def _radius_reaches_one(F, p):
+    """Collatz-Wielandt certificate that the spectral radius of F >= 0 is >= 1.
+
+    Some principal block F_SS with p_S > 0 and F_SS p_S >= p_S bounds
+    rho(F) >= rho(F_SS) >= 1. Rows failing the inequality are dropped
+    until the rest hold it or none is left.
+    """
+    rows = p > 0.0
+    while rows.any():
+        keep = rows & (F[:, rows] @ p[rows] >= p)
+        if (keep == rows).all():
+            return True
+        rows = keep
+    return False
+
+
 def lp_fixed_point_oracle(F, v, tol=1e-12):
     """Iterate p <- F p + v from zero until every component converges.
 
     The iteration stops once each component's step is at most tol times
     that component, so a small component is resolved as finely as a
-    large one. The iterates are monotone nondecreasing for nonnegative
-    F, v, so a growth check over a trailing window detects divergence
-    (spectral radius >= 1) without computing eigenvalues.
+    large one. Every _DIVERGENCE_WINDOW steps the iterate is tested as a
+    Collatz-Wielandt certificate of spectral radius >= 1, which detects
+    divergence without computing eigenvalues and, unlike a growth test,
+    never fires on the slow transient growth of a convergent non-normal F.
     """
     F = np.asarray(F, dtype=float)
     v = np.asarray(v, dtype=float)
     if (F < 0).any() or (v < 0).any():
         raise ValueError("fixed-point oracle needs nonnegative coefficients")
     p = np.zeros_like(v)
-    reference = None
     for k in range(1, 10_000_000):
         p_next = F @ p + v
         if (np.abs(p_next - p) <= tol * np.abs(p_next)).all():
             return p_next
         p = p_next
-        if k % _DIVERGENCE_WINDOW == 0:
-            level = float(np.linalg.norm(p))
-            if reference is not None and level > 2.0 * reference:
-                raise NumericalError(
-                    f"fixed-point iteration diverging (norm {level:.3e} "
-                    f"after {k} steps)")
-            reference = level
+        if k % _DIVERGENCE_WINDOW == 0 and _radius_reaches_one(F, p):
+            raise NumericalError(
+                f"fixed-point iteration diverging (largest component "
+                f"{float(np.max(p)):.3e} after {k} steps)")
     raise NumericalError("fixed-point iteration exhausted its budget")
 
 
@@ -230,7 +243,25 @@ def leakage_weights(coupling):
     return leak / norm if norm > 0.0 else leak
 
 
-def weight_factored_powers(lp, eta):
+def _target_diag(stack, gamma):
+    """d = gamma / (sig - gamma isi) of a FixedPoint, per user."""
+    sig = stack.pl_sig_coeff
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), sig.shape)
+    return gamma / (sig - gamma * stack.pu_isi_coeff)
+
+
+def stack_system(stack, gamma, z):
+    """(F, v) of a FixedPoint at targets gamma and uncontrolled watts z.
+
+    p_j sig_j >= gamma_j (p_j isi_j + (co p)_j + z_j) rearranges to
+    p >= F p + v with F = d co and v = d z (_target_diag), the form
+    lp_fixed_point_oracle iterates.
+    """
+    d = _target_diag(stack, gamma)
+    return d[:, None] * stack.pu_co_coeff, d * z
+
+
+def weight_factored_powers(stack, gamma, z, eta):
     """Normalized-weight closed form; equals solve_femto / eta entrywise.
 
     Written with the weight diagonal factored through the Hadamard
@@ -240,10 +271,11 @@ def weight_factored_powers(lp, eta):
     """
     if (eta <= 0.0).any():
         raise ValueError("weight form needs strictly positive weights")
+    d = _target_diag(stack, gamma)
     E = np.diag(eta)
-    had = lp.b_matrix * (1.0 / eta)[:, None]
-    M = E @ np.diag(lp.d_diag) @ had
-    inner = np.linalg.solve(np.eye(lp.z.shape[0]) - M, lp.d_diag * lp.z)
+    had = stack.pu_co_coeff * (1.0 / eta)[:, None]
+    M = E @ np.diag(d) @ had
+    inner = np.linalg.solve(np.eye(d.shape[0]) - M, d * z)
     return np.linalg.solve(E, inner)
 
 

@@ -44,6 +44,7 @@ from oracles import (
     leakage_weights,
     lp_fixed_point_oracle,
     macro_kkt_oracle,
+    stack_system,
     weight_factored_powers,
 )
 
@@ -119,20 +120,19 @@ def test_femto_allocation_matches_fixed_point(capsys):
         g = tr_beamformer_cirs(ch.h1)
         try:
             coupling = tr_coupling(ch, g, ch.taps)
-            lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol,
-                                cfg.noise_power)
-            p = solve_femto(lp)
+            lp = build_femto_lp(coupling)
+            p = solve_femto(lp, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         except InfeasibleError:
             continue
         collected += 1
-        F = lp.d_diag[:, None] * lp.b_matrix
-        v = lp.d_diag * lp.z
+        z = cfg.p_tol + cfg.noise_power
+        F, v = stack_system(lp, cfg.gamma_f, z)
         ref = lp_fixed_point_oracle(F, v)
         err_solve = max(err_solve,
                         float(np.max(np.abs(p - ref) / np.abs(ref))))
         direct = np.linalg.solve(np.eye(len(p)) - F, v)
         eta = leakage_weights(coupling)
-        form = weight_factored_powers(lp, eta) * eta
+        form = weight_factored_powers(lp, cfg.gamma_f, z, eta) * eta
         err_form = max(err_form,
                        float(np.max(np.abs(form - direct) / np.abs(direct))))
         from hetnet_tr.beamform import design_beamformers

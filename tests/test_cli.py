@@ -128,6 +128,23 @@ class TestRunCommand:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["missing/r.csv", "."])
+    def test_unusable_output_fails_before_any_trial(self, tmp_path, capsys,
+                                                    monkeypatch, out):
+        """A missing directory or a directory as --out exits 2 before the
+        first scenario is drawn, not after every trial has run."""
+        import hetnet_tr.harness as harness
+
+        drawn = []
+        monkeypatch.setattr(harness, "_draw_scenario",
+                            lambda *args: drawn.append(args))
+        code = main(["run", "--experiment", "fu-outage",
+                     "--config", str(DEFAULT_INI),
+                     "--out", str(tmp_path / out), "--trials", "200"])
+        assert code == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert drawn == []
+
     def test_infeasible_everywhere_exits_3(self, tmp_path, capsys):
         # the wide-error robust family needs a far lower SINR target than
         # the default config carries, so every trial reports infeasible

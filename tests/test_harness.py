@@ -27,7 +27,7 @@ from hetnet_tr.harness import (
     run_experiment,
 )
 from hetnet_tr.power import (
-    _centralized_system,
+    coupling_stack,
     macro_coefficients,
     solve_centralized,
     solve_proposed,
@@ -38,6 +38,8 @@ from hetnet_tr.robust import (
     solve_robust,
 )
 from hetnet_tr.sinr import couple
+
+from oracles import stack_system
 
 
 def spec_for(name, tmp_path, trials=2, sweep=None, seed=5):
@@ -70,6 +72,12 @@ class TestExperimentSpec:
                               output_path="")
         with pytest.raises(ConfigError, match="output"):
             spec.validate()
+
+    def test_bare_file_name_writes_to_working_directory(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ExperimentSpec(name="mu-outage", trials=1, sweep={}, seed=0,
+                       output_path="out.csv").validate()
 
     def test_foreign_sweep_key(self, tmp_path):
         spec = spec_for("mu-outage", tmp_path, sweep={"psi": (0.1,)})
@@ -366,6 +374,24 @@ class TestRunExperiment:
         run_experiment(spec, cfg, error_draws=50)
         assert (tmp_path / "out.csv").read_bytes() == serial
 
+    def test_workers_start_from_a_fresh_import(self, tmp_path, monkeypatch):
+        """A harness attribute patched in this process does not reach the
+        workers: two workers write the unpatched bytes."""
+        cfg = ScenarioConfig()
+        spec = spec_for("mu-outage", tmp_path, trials=2,
+                        sweep={"gamma_m_db": (0.0, 2.0)}, seed=12345)
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        run_experiment(spec, cfg)
+        clean = (tmp_path / "out.csv").read_bytes()
+        db = harness._db
+        monkeypatch.setattr(harness, "_db", lambda x: 2.0 * db(x))
+        run_experiment(spec, cfg)
+        assert (tmp_path / "out.csv").read_bytes() != clean
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("HETNET_TR_THREADS", "2")
+        run_experiment(spec, cfg)
+        assert (tmp_path / "out.csv").read_bytes() == clean
+
     def test_exact_zf_own_isi_rounding_does_not_abort(self, tmp_path):
         """Seed 645, trial 0: exact ZF beams leave own-ISI a few ulp below 0.
 
@@ -403,7 +429,9 @@ class TestRunExperiment:
         _, _, caps = macro_coefficients(coupling, prop.cross_report,
                                         cfg.noise_power)
         assert prop.p0[0] * caps[0].max() <= cfg.p_tol
-        F, _ = _centralized_system(coupling, gm, gf, cfg.noise_power)
+        F, _ = stack_system(coupling_stack(coupling),
+                            np.repeat([gm, gf], [coupling.n0, coupling.n1]),
+                            cfg.noise_power)
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))
         assert 1.0069 <= rho < 1.0070
         with pytest.raises(InfeasibleError) as exc:

@@ -12,21 +12,23 @@ from hetnet_tr.channel import ChannelSet
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.power import (
     AllocationResult,
-    FemtoLp,
-    _solve_interference_lp,
+    FixedPoint,
     build_femto_lp,
+    coupling_stack,
     cross_report,
     macro_coefficients,
     macro_powers,
     solve_centralized,
     solve_femto,
+    solve_fixed_point,
     solve_macro,
     solve_proposed,
 )
-from hetnet_tr.robust import RobustBounds, solve_robust
+from hetnet_tr.robust import assemble_bounds, solve_robust
 from hetnet_tr.sinr import (
     Coupling,
     couple,
+    coupling_terms,
     fu_breakdown,
     mu_breakdown,
     sinr,
@@ -36,6 +38,7 @@ from oracles import (
     leakage_weights,
     lp_fixed_point_oracle,
     macro_kkt_oracle,
+    stack_system,
     weight_factored_powers,
 )
 
@@ -61,45 +64,51 @@ def tr_beams(channels):
 
 class TestBuildFemtoLp:
     def test_single_user_coefficients(self):
-        """Lone-tap channel: phi = |h|^2, the leakage counts both victims,
-        z is raw."""
+        """Lone-tap channel: the signal is |h|^2 with no ISI, and the
+        leakage counts both victims."""
         ch = single_user_channels()
         g = tr_beams(ch)
         coupling = tr_coupling(ch, g, ch.taps)
-        lp = build_femto_lp(coupling, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
-        assert lp.phi == pytest.approx(4.0)
+        lp = build_femto_lp(coupling)
+        assert lp.pl_sig_coeff - 1.5 * lp.pu_isi_coeff == pytest.approx(4.0)
+        assert lp.pu_isi_coeff == pytest.approx(0.0, abs=1e-15)
         assert coupling.energy[:coupling.n0, coupling.femto].sum() == \
             pytest.approx(2.0)
         assert leakage_weights(coupling) == pytest.approx(1.0)
-        assert lp.z == pytest.approx(1e-4 + 1e-12)
-        assert lp.b_matrix.shape == (1, 1) and lp.b_matrix[0, 0] == 0.0
+        assert lp.pu_co_coeff.shape == (1, 1) and lp.pu_co_coeff[0, 0] == 0.0
 
     def test_invariants_random(self):
         cfg, geo, ch, beams = designed_scenario(seed=71, n1=3)
         coupling = couple(ch, beams)
-        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        lp = build_femto_lp(coupling)
         eta = leakage_weights(coupling)
         assert np.linalg.norm(eta) == pytest.approx(1.0, rel=1e-12)
-        assert np.all(np.diag(lp.b_matrix) == 0.0)
-        assert np.all(lp.b_matrix >= 0.0)
-        assert np.all(lp.phi > 0.0)
-        np.testing.assert_allclose(lp.z, cfg.p_tol + cfg.noise_power)
+        assert np.all(np.diag(lp.pu_co_coeff) == 0.0)
+        assert np.all(lp.pu_co_coeff >= 0.0)
+        assert np.all(lp.pl_sig_coeff - cfg.gamma_f * lp.pu_isi_coeff > 0.0)
+        # the FU block of the coupling, target-free
+        fu = coupling.femto
+        np.testing.assert_array_equal(lp.pl_sig_coeff, coupling.signal[fu])
+        np.testing.assert_array_equal(
+            lp.pl_sig_coeff + lp.pu_isi_coeff, np.diagonal(coupling.energy)[fu])
+        off = coupling.energy[fu, fu] * (1.0 - np.eye(3))
+        np.testing.assert_array_equal(lp.pu_co_coeff, off)
 
     def test_unreachable_target_raises(self):
         """A target beyond the signal-to-self-interference ratio has no power."""
         cfg, geo, ch, beams = designed_scenario(seed=72)
+        lp = build_femto_lp(couple(ch, beams))
         with pytest.raises(InfeasibleError) as exc:
-            build_femto_lp(couple(ch, beams), 1e9,
-                           cfg.p_tol, cfg.noise_power)
+            solve_femto(lp, 1e9, cfg.p_tol, cfg.noise_power)
         assert exc.value.stage == "femto"
+        assert "unreachable" in str(exc.value)
 
 
 class TestSolveFemto:
     def test_single_user_closed_form(self):
         ch = single_user_channels()
-        lp = build_femto_lp(tr_coupling(ch, tr_beams(ch), ch.taps),
-                            gamma_f=1.5, p_tol=1e-4, noise=1e-12)
-        p = solve_femto(lp)
+        lp = build_femto_lp(tr_coupling(ch, tr_beams(ch), ch.taps))
+        p = solve_femto(lp, gamma_f=1.5, p_tol=1e-4, noise=1e-12)
         assert p[0] == pytest.approx(1.5 * (1e-4 + 1e-12) / 4.0, rel=1e-14)
 
     def test_matches_fixed_point_oracle(self):
@@ -107,20 +116,17 @@ class TestSolveFemto:
         for seed in (11, 12, 13):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=4,
                                                     gamma_f_db=-4.0)
-            lp = build_femto_lp(couple(ch, beams),
-                                cfg.gamma_f, cfg.p_tol, cfg.noise_power)
-            p = solve_femto(lp)
-            F = lp.d_diag[:, None] * lp.b_matrix
-            v = lp.d_diag * lp.z
+            lp = build_femto_lp(couple(ch, beams))
+            p = solve_femto(lp, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+            F, v = stack_system(lp, cfg.gamma_f, cfg.p_tol + cfg.noise_power)
             np.testing.assert_allclose(p, lp_fixed_point_oracle(F, v),
                                        rtol=1e-10)
 
     def test_every_constraint_active(self):
         """At the minimal point each FU sits exactly on its SINR target."""
         cfg, geo, ch, beams = designed_scenario(seed=21, n1=3)
-        lp = build_femto_lp(couple(ch, beams),
-                            cfg.gamma_f, cfg.p_tol, cfg.noise_power)
-        p1 = solve_femto(lp)
+        lp = build_femto_lp(couple(ch, beams))
+        p1 = solve_femto(lp, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
         for j in range(3):
             b = fu_breakdown(ch, beams, None, p1, j,
                              noise_power=cfg.noise_power,
@@ -130,20 +136,19 @@ class TestSolveFemto:
     def test_gamma_monotone(self):
         cfg, geo, ch, beams = designed_scenario(seed=24, n1=2)
         coupling = couple(ch, beams)
-        lo = solve_femto(build_femto_lp(coupling, 1.0, cfg.p_tol,
-                                        cfg.noise_power))
-        hi = solve_femto(build_femto_lp(coupling, 2.0, cfg.p_tol,
-                                        cfg.noise_power))
+        lp = build_femto_lp(coupling)
+        lo = solve_femto(lp, 1.0, cfg.p_tol, cfg.noise_power)
+        hi = solve_femto(lp, 2.0, cfg.p_tol, cfg.noise_power)
         assert np.all(hi > lo)
 
     def test_spectral_radius_certificate(self):
         """Radius 2: the solve has no positive fixed point and says so."""
         b = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert np.max(np.abs(np.linalg.eigvals(b))) == pytest.approx(2.0)
-        lp = FemtoLp(b_matrix=b, d_diag=np.ones(2), phi=np.ones(2),
-                     z=np.full(2, 1e-4))
+        lp = FixedPoint(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
+                        pu_co_coeff=b)
         with pytest.raises(InfeasibleError) as exc:
-            solve_femto(lp)
+            solve_femto(lp, 1.0, 1e-4, 0.0)
         assert exc.value.stage == "femto"
         assert "radius" in str(exc.value)
 
@@ -173,7 +178,10 @@ class TestFixedPointCertificate:
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))
         assume(abs(rho - 1.0) > 1e-9)
         try:
-            p = _solve_interference_lp(np.ones_like(v), F, v, "femto")
+            # unit targets, no ISI: d = 1, so the solve is (I - F) p = v
+            stack = FixedPoint(pl_sig_coeff=np.ones_like(v),
+                               pu_isi_coeff=np.zeros_like(v), pu_co_coeff=F)
+            p = solve_fixed_point(stack, 1.0, v, "femto")
         except InfeasibleError as exc:
             assert exc.stage == "femto"
             assert rho > 1.0
@@ -187,9 +195,8 @@ class TestFixedPointCertificate:
                 1e-10 / (1.0 - rho) * np.linalg.norm(ref))
 
     def test_robust_stage_tag(self):
-        b = RobustBounds(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
-                         pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]),
-                         psi=0.1, variant="proposed")
+        b = FixedPoint(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
+                       pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(InfeasibleError) as exc:
             solve_robust(b, 1.0, 1e-4, 1e-12)
         assert exc.value.stage == "robust"
@@ -203,6 +210,80 @@ class TestFixedPointCertificate:
             solve_centralized(coupling, 1.0, 1.0, 1e-12)
         assert exc.value.stage == "centralized"
         assert "radius" in str(exc.value)
+
+
+def _as_coupling(stack, n0):
+    """A Coupling whose whole-coupling stack is the given FixedPoint."""
+    sig = stack.pl_sig_coeff
+    return Coupling(n0, stack.pu_co_coeff + np.diag(sig + stack.pu_isi_coeff),
+                    sig)
+
+
+# each design's solve of one stack at unit targets, by its stage tag
+_STAGE_SOLVES = {
+    "femto": lambda stack: solve_femto(stack, 1.0, 1e-4, 1e-12),
+    "robust": lambda stack: solve_robust(stack, 1.0, 1e-4, 1e-12),
+    "centralized": lambda stack: solve_centralized(
+        _as_coupling(stack, 1), 1.0, 1.0, 1e-12),
+}
+
+
+class TestSharedSolve:
+    """The femto, robust and centralized designs are one solve of one
+    stack: they agree bit for bit where their stacks and right-hand sides
+    agree, and differ only in the stage tag of their failures."""
+
+    def test_one_tier_centralized_is_the_femto_design(self):
+        """With no MUs the centralized stack is the femto stack, and with
+        p_tol = 0 both right-hand sides are d * noise."""
+        compared = 0
+        for seed in (31, 32, 33):
+            cfg, geo, ch, beams = designed_scenario(seed=seed, n1=3)
+            alone = Coupling(0, *coupling_terms(beams.g, ch.h1, ch.taps))
+            for gf in (10.0 ** -1.0, 10.0 ** -0.6, cfg.gamma_f):
+                try:
+                    femto = solve_femto(build_femto_lp(alone), gf, 0.0,
+                                        cfg.noise_power)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        solve_centralized(alone, cfg.gamma_m, gf,
+                                          cfg.noise_power)
+                    continue
+                cent = solve_centralized(alone, cfg.gamma_m, gf,
+                                         cfg.noise_power)
+                assert cent.p0.size == 0
+                assert np.array_equal(cent.p1, femto)
+                compared += 1
+        assert compared >= 6
+
+    def test_zero_error_robust_is_the_femto_design(self):
+        """solve_robust of the psi = 0 stack is solve_femto of the TR
+        beams' single-tier coupling, bit for bit."""
+        for seed in (0, 1, 2):
+            cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
+            alone = Coupling(0, *coupling_terms(beams.g, ch.h1, ch.taps))
+            want = solve_femto(build_femto_lp(alone), cfg.gamma_f, cfg.p_tol,
+                               cfg.noise_power)
+            stack = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol,
+                                    cfg.noise_power)
+            assert np.array_equal(
+                solve_robust(stack, cfg.gamma_f, cfg.p_tol, cfg.noise_power),
+                want)
+
+    @pytest.mark.parametrize("stage", sorted(_STAGE_SOLVES))
+    @pytest.mark.parametrize("isi, co, cause", [
+        (2.0, 0.0, "unreachable"),  # signal below the target times ISI
+        (0.0, 2.0, "radius"),       # co-channel spectral radius 2
+    ])
+    def test_unmet_targets_raise_the_callers_stage(self, stage, isi, co,
+                                                   cause):
+        stack = FixedPoint(pl_sig_coeff=np.ones(2),
+                           pu_isi_coeff=np.full(2, isi),
+                           pu_co_coeff=np.array([[0.0, co], [co, 0.0]]))
+        with pytest.raises(InfeasibleError) as exc:
+            _STAGE_SOLVES[stage](stack)
+        assert exc.value.stage == stage
+        assert cause in str(exc.value)
 
 
 class TestFixedPointOracle:
@@ -219,18 +300,21 @@ class TestDisplayForm:
         """Weight-normalized form times the weights recovers the powers."""
         cfg, geo, ch, beams = designed_scenario(seed=13, n1=3)
         coupling = couple(ch, beams)
-        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
+        lp = build_femto_lp(coupling)
+        z = cfg.p_tol + cfg.noise_power
         eta = leakage_weights(coupling)
-        np.testing.assert_allclose(weight_factored_powers(lp, eta) * eta,
-                                   solve_femto(lp), rtol=1e-10)
+        np.testing.assert_allclose(
+            weight_factored_powers(lp, cfg.gamma_f, z, eta) * eta,
+            solve_femto(lp, cfg.gamma_f, cfg.p_tol, cfg.noise_power),
+            rtol=1e-10)
 
     def test_single_user_forms_coincide(self):
         ch = single_user_channels()
         coupling = tr_coupling(ch, tr_beams(ch), ch.taps)
-        lp = build_femto_lp(coupling, gamma_f=2.0, p_tol=1e-4, noise=1e-12)
+        lp = build_femto_lp(coupling)
         eta = leakage_weights(coupling)
-        assert weight_factored_powers(lp, eta)[0] == pytest.approx(
-            solve_femto(lp)[0], rel=1e-12)
+        assert weight_factored_powers(lp, 2.0, 1e-4 + 1e-12, eta)[0] == \
+            pytest.approx(solve_femto(lp, 2.0, 1e-4, 1e-12)[0], rel=1e-12)
 
     def test_equal_weight_simplified_form(self):
         """With equal weights the normalized form is the plain solve scaled."""
@@ -238,14 +322,17 @@ class TestDisplayForm:
         n = 3
         b = rng.uniform(0.0, 0.2, (n, n))
         np.fill_diagonal(b, 0.0)
-        d = rng.uniform(0.5, 1.5, n)
+        sig = rng.uniform(0.5, 1.5, n)
+        d = 1.0 / sig  # unit targets, no ISI
         z = np.full(n, 1e-4)
         eta = np.full(n, 1.0 / np.sqrt(n))
-        lp = FemtoLp(b_matrix=b, d_diag=d, phi=np.ones(n), z=z)
+        lp = FixedPoint(pl_sig_coeff=sig, pu_isi_coeff=np.zeros(n),
+                        pu_co_coeff=b)
         direct = np.linalg.solve(np.eye(n) - d[:, None] * b, d * z)
-        np.testing.assert_allclose(weight_factored_powers(lp, eta),
+        np.testing.assert_allclose(weight_factored_powers(lp, 1.0, z, eta),
                                    direct * np.sqrt(n), rtol=1e-8)
-        np.testing.assert_allclose(solve_femto(lp), direct, rtol=1e-12)
+        np.testing.assert_allclose(solve_femto(lp, 1.0, 1e-4, 0.0), direct,
+                                   rtol=1e-12)
 
 
 class TestCrossReport:
@@ -253,8 +340,8 @@ class TestCrossReport:
         """Report entries equal the cross term seen by each MU."""
         cfg, geo, ch, beams = designed_scenario(seed=41, n1=3)
         coupling = couple(ch, beams)
-        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
-        p1 = solve_femto(lp)
+        p1 = solve_femto(build_femto_lp(coupling), cfg.gamma_f, cfg.p_tol,
+                         cfg.noise_power)
         rep = cross_report(coupling, p1)
         p0 = np.zeros(2)
         for n in range(2):
@@ -345,8 +432,8 @@ class TestSolveMacro:
         """ZF beams plus a femto report: every MU lands on its target."""
         cfg, geo, ch, beams = designed_scenario(seed=65)
         coupling = couple(ch, beams)
-        lp = build_femto_lp(coupling, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
-        p1 = solve_femto(lp)
+        p1 = solve_femto(build_femto_lp(coupling), cfg.gamma_f, cfg.p_tol,
+                         cfg.noise_power)
         cross = cross_report(coupling, p1)
         p0, _ = solve_macro(coupling, cfg.gamma_m, cfg.p_tol, cross,
                             cfg.noise_power)
@@ -428,12 +515,11 @@ class TestSolveCentralized:
         assert res.total_power == pytest.approx(res.p0.sum() + res.p1.sum())
 
     def test_matches_fixed_point_oracle(self):
-        from hetnet_tr.power import _centralized_system
-
         cfg, geo, ch, beams = designed_scenario(seed=82)
         coupling = couple(ch, beams)
-        F, v = _centralized_system(coupling, cfg.gamma_m, cfg.gamma_f,
-                                   cfg.noise_power)
+        gamma = np.repeat([cfg.gamma_m, cfg.gamma_f],
+                          [coupling.n0, coupling.n1])
+        F, v = stack_system(coupling_stack(coupling), gamma, cfg.noise_power)
         res = solve_centralized(coupling, cfg.gamma_m, cfg.gamma_f,
                                 cfg.noise_power)
         np.testing.assert_allclose(np.concatenate([res.p0, res.p1]),

@@ -14,12 +14,12 @@ from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import _bound_tightness_trial
 from hetnet_tr.linops import toeplitz_conv_matrix
 from hetnet_tr.power import (
-    _femto_coefficients,
+    FixedPoint,
     build_femto_lp,
+    coupling_stack,
     solve_femto,
 )
 from hetnet_tr.robust import (
-    RobustBounds,
     WorstCaseExtrema,
     assemble_bounds,
     proposed_upper,
@@ -184,7 +184,7 @@ class TestAssembleBounds:
         """Coefficient stack is complete, nonnegative, with a zero co diagonal."""
         cfg, geo, ch, beams = designed_scenario(seed=0, n1=2)
         b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
-        assert isinstance(b, RobustBounds)
+        assert type(b) is FixedPoint
         assert b.pl_sig_coeff.shape == (2,) and b.pu_isi_coeff.shape == (2,)
         assert b.pu_co_coeff.shape == (2, 2)
         for arr in (b.pl_sig_coeff, b.pu_isi_coeff, b.pu_co_coeff):
@@ -195,7 +195,9 @@ class TestAssembleBounds:
         """psi=0 gives the exact-CSI coefficients of the full coupling."""
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
         b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
-        sig, isi, co = _femto_coefficients(couple(ch, beams))
+        ref = build_femto_lp(couple(ch, beams))
+        assert type(b) is FixedPoint
+        sig, isi, co = ref.pl_sig_coeff, ref.pu_isi_coeff, ref.pu_co_coeff
         assert np.array_equal(b.pl_sig_coeff, sig)
         assert np.array_equal(b.pu_isi_coeff, isi)
         assert np.array_equal(b.pu_co_coeff, co)
@@ -248,9 +250,8 @@ class TestSolveRobust:
         """psi=0 runs the identical closed form and reproduces solve_femto bits."""
         for seed in (0, 1, 2):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
-            lp = build_femto_lp(couple(ch, beams), cfg.gamma_f, cfg.p_tol,
-                                cfg.noise_power)
-            nominal = solve_femto(lp)
+            lp = build_femto_lp(couple(ch, beams))
+            nominal = solve_femto(lp, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
             b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
             robust = solve_robust(b, cfg.gamma_f, cfg.p_tol, cfg.noise_power)
             assert np.array_equal(nominal, robust)
@@ -292,10 +293,9 @@ class TestSolveRobust:
 
     def test_unreachable_floor_reports_robust_stage(self):
         """A floor below the scaled ceiling raises with the robust stage tag."""
-        b = RobustBounds(pl_sig_coeff=np.array([1.0]),
-                         pu_isi_coeff=np.array([2.0]),
-                         pu_co_coeff=np.zeros((1, 1)), psi=PSI,
-                         variant="proposed")
+        b = FixedPoint(pl_sig_coeff=np.array([1.0]),
+                       pu_isi_coeff=np.array([2.0]),
+                       pu_co_coeff=np.zeros((1, 1)))
         with pytest.raises(InfeasibleError) as err:
             solve_robust(b, 1.0, 1e-4, 1e-12)
         assert err.value.stage == "robust"
@@ -427,10 +427,14 @@ class TestBallProperties:
         numpy's matrix-vector product instead of the matrix product."""
         ch, g, _ = random_link_set(seed, m, n0, n1, taps)
         alone = Coupling(0, *coupling_terms(g, ch.h1, ch.taps))
-        sig, isi, co = _femto_coefficients(alone)
+        ref = coupling_stack(alone)
+        sig, isi, co = ref.pl_sig_coeff, ref.pu_isi_coeff, ref.pu_co_coeff
         coupling = tr_coupling(ch, g, ch.taps)
+        full = build_femto_lp(coupling)
         scale = float(np.max(coupling.energy))
-        for got, want in zip((sig, isi, co), _femto_coefficients(coupling)):
+        for got, want in zip((sig, isi, co), (full.pl_sig_coeff,
+                                              full.pu_isi_coeff,
+                                              full.pu_co_coeff)):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-15 * scale)
             if n1 >= 2:
