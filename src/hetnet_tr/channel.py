@@ -132,8 +132,26 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.noise_power <= 0.0:
             raise ConfigError("noise_power must be positive")
+        for key, linear in (("gamma_m_db", "gamma_m"),
+                            ("gamma_f_db", "gamma_f"), ("p_tol_dbm", "p_tol")):
+            try:
+                finite = np.isfinite(getattr(self, linear))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"{key} must be finite in linear units: "
+                    f"{getattr(self, key):g} overflows a double")
         if min(self.d_macro, self.d_femto, self.d_mbs_fbs) <= 0.0:
             raise ConfigError("radii and placement distance must be positive")
+        # place_nodes resamples zero distances, and a disc whose squared
+        # radius underflows yields nothing else
+        for key in ("d_macro", "d_femto"):
+            radius = float(getattr(self, key))
+            if radius * radius < np.finfo(float).tiny:
+                raise ConfigError(
+                    f"{key} = {radius:g} m is below double precision: its "
+                    f"square {radius * radius:g} is not a normal double")
         # place_nodes squares every link distance, and none exceeds this
         far = float(self.d_mbs_fbs) + max(float(self.d_macro),
                                           float(self.d_femto))

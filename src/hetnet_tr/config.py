@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 from .channel import ScenarioConfig
 from .errors import ConfigError
 
-_INT_FIELDS = {"m0", "m1", "n0", "n1", "taps", "seed"}
 _SECTIONS = ("scenario", "experiment")
 
 
@@ -33,6 +32,20 @@ def _parse_scalar(section, key, raw, want_int):
             f"[{section}] {key} must be {kind}, got {raw!r}") from None
 
 
+def _read_section(parser, section, schema):
+    """{key: value} of one section, each parsed as its dataclass field's
+    type; keys outside schema (an iterable of fields) are refused."""
+    types = {f.name: f.type for f in schema}
+    values = {}
+    if parser.has_section(section):
+        for key, raw in parser.items(section):
+            if key not in types:
+                raise ConfigError(f"unknown [{section}] key {key!r}")
+            values[key] = _parse_scalar(section, key, raw,
+                                        types[key] is int)
+    return values
+
+
 def load_config(path):
     """Read and validate an INI file into Settings."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -46,27 +59,13 @@ def load_config(path):
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
 
-    known = {f.name for f in fields(ScenarioConfig)}
-    kwargs = {}
-    if parser.has_section("scenario"):
-        for key, raw in parser.items("scenario"):
-            if key not in known:
-                raise ConfigError(f"unknown [scenario] key {key!r}")
-            kwargs[key] = _parse_scalar("scenario", key, raw,
-                                        key in _INT_FIELDS)
-    scenario = ScenarioConfig(**kwargs).validate()
-
-    trials, error_draws = 1000, 10_000
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key == "trials":
-                trials = _parse_scalar("experiment", key, raw, True)
-            elif key == "error_draws":
-                error_draws = _parse_scalar("experiment", key, raw, True)
-            else:
-                raise ConfigError(f"unknown [experiment] key {key!r}")
-    if trials < 1:
-        raise ConfigError("[experiment] trials must be >= 1")
-    if error_draws < 1:
-        raise ConfigError("[experiment] error_draws must be >= 1")
-    return Settings(scenario=scenario, trials=trials, error_draws=error_draws)
+    scenario = ScenarioConfig(
+        **_read_section(parser, "scenario", fields(ScenarioConfig)))
+    scenario.validate()
+    experiment = _read_section(
+        parser, "experiment",
+        [f for f in fields(Settings) if f.name != "scenario"])
+    for key, value in experiment.items():
+        if value < 1:
+            raise ConfigError(f"[experiment] {key} must be >= 1")
+    return Settings(scenario=scenario, **experiment)

@@ -1,4 +1,7 @@
-"""Experiment harness: experiment registry, trial runners, CSV output.
+"""Experiment harness: experiment registry, trial runner, CSV output.
+
+Each experiment is one _REGISTRY entry, and one loop, _run_trial, runs a
+trial of any of them.
 
 Experiments are trial-parallel. Every trial derives its own generator
 from (seed, trial id), so output bytes depend only on (spec, config) and
@@ -33,44 +36,6 @@ from .robust import (
 from .sinr import Coupling, couple, coupling_terms, victim_sinrs
 
 
-# ---------------------------------------------------------------------------
-# experiment definitions
-
-# value columns per experiment, in CSV order
-_VALUE_KEYS = {
-    "power-compare": ("power_proposed_w", "power_centralized_w"),
-    "mu-outage": ("outage_rate", "power_total_w"),
-    "tr-vs-zf": ("sinr_tr_db", "sinr_zf_db"),
-    "bound-tightness": ("young_w", "proposed_w", "oracle_max_w",
-                        "floor_w", "oracle_min_w", "gap_db"),
-    "fu-outage": ("outage_nonrobust", "outage_proposed", "outage_young",
-                  "power_nonrobust_w", "power_proposed_w", "power_young_w",
-                  "feas_nonrobust", "feas_proposed", "feas_young"),
-    "robust-power": ("power_nonrobust_w", "power_proposed_w",
-                     "power_young_w", "feas_nonrobust", "feas_proposed",
-                     "feas_young"),
-}
-
-_SWEEP_ORDER = {
-    "power-compare": ("gamma_m_db", "gamma_f_db"),
-    "mu-outage": ("gamma_m_db",),
-    "tr-vs-zf": ("p_dbm",),
-    "bound-tightness": ("psi",),
-    "fu-outage": ("psi", "gamma_f_db"),
-    "robust-power": ("psi", "gamma_f_db"),
-}
-
-_DEFAULT_SWEEPS = {
-    "power-compare": {"gamma_m_db": (-3.0, -1.0, 1.0),
-                      "gamma_f_db": tuple(float(v) for v in range(-4, 5))},
-    "mu-outage": {"gamma_m_db": tuple(float(v) for v in range(-4, 5))},
-    "tr-vs-zf": {"p_dbm": tuple(float(v) for v in range(10, 41, 2))},
-    "bound-tightness": {"psi": (0.05, 0.1)},
-    "fu-outage": {"psi": (0.04,),
-                  "gamma_f_db": (-6.0, -4.0, -2.0, 0.0, 2.0)},
-    "robust-power": {"psi": (0.0, 0.01, 0.02, 0.04, 0.08)},
-}
-
 _SWEEP_RANGES = {
     "gamma_m_db": (-30.0, 30.0),
     "gamma_f_db": (-30.0, 30.0),
@@ -78,9 +43,8 @@ _SWEEP_RANGES = {
     "psi": (0.0, 0.999),
 }
 
-EXPERIMENTS = tuple(_VALUE_KEYS)
-
-# femto designs of the robust experiments, in CSV column order
+# femto designs of the robust experiments, in CSV column order; every
+# design after the first is an assemble_bounds variant
 _DESIGNS = ("nonrobust", "proposed", "young")
 
 
@@ -100,7 +64,7 @@ class ExperimentSpec:
     output_path: str
 
     def validate(self):
-        if self.name not in _VALUE_KEYS:
+        if self.name not in _REGISTRY:
             raise ConfigError(f"unknown experiment {self.name!r}; "
                               f"expected one of {', '.join(EXPERIMENTS)}")
         if self.trials < 1:
@@ -116,7 +80,7 @@ class ExperimentSpec:
         if os.path.isdir(self.output_path):
             raise ConfigError(f"cannot write output: {self.output_path!r} "
                               "is a directory")
-        allowed = set(_SWEEP_ORDER[self.name])
+        allowed = set(_REGISTRY[self.name].axes)
         for key, values in self.sweep.items():
             if key not in allowed:
                 raise ConfigError(
@@ -133,10 +97,11 @@ class ExperimentSpec:
 
     def sweep_points(self):
         """Ordered grid of sweep-point dicts (cartesian product)."""
-        merged = dict(_DEFAULT_SWEEPS[self.name])
+        axes = _REGISTRY[self.name].axes
+        merged = {k: v for k, v in axes.items() if v is not None}
         for key, values in self.sweep.items():
             merged[key] = tuple(float(v) for v in values)
-        keys = [k for k in _SWEEP_ORDER[self.name] if k in merged]
+        keys = [k for k in axes if k in merged]
         return [dict(zip(keys, combo))
                 for combo in itertools.product(*(merged[k] for k in keys))]
 
@@ -155,10 +120,6 @@ def _db(x):
     return 10.0 ** (float(x) / 10.0)
 
 
-def _dbm(x):
-    return 10.0 ** ((float(x) - 30.0) / 10.0)
-
-
 def _draw_scenario(cfg, seed, trial):
     """Placement and channels for one trial, plus the continuing generator."""
     rng = np.random.default_rng([seed, trial])
@@ -167,128 +128,105 @@ def _draw_scenario(cfg, seed, trial):
     return channels, rng
 
 
-def _record(trial, point, keys, values, feasible):
-    return TrialRecord(trial=trial, sweep=tuple(point.items()),
-                       values=tuple(zip(keys, values)), feasible=feasible)
+# ---------------------------------------------------------------------------
+# experiments: per-trial setups, per-point steps and the registry
+
+def _nominal_setup(channels, rng, cfg, extra):
+    """Beams and their full coupling; neither depends on the SINR targets."""
+    return channels, couple(channels, design_beamformers(channels))
 
 
-def _trial_coupling(channels):
-    """Beams and their full coupling, shared by every sweep point of a trial.
-
-    Neither depends on the SINR targets. None when the ZF design has no
-    reachable tap for some MU: every point of the trial is then infeasible.
-    """
-    try:
-        return couple(channels, design_beamformers(channels))
-    except InfeasibleError:
-        return None
+def _power_compare_step(state, pt, cfg):
+    channels, coupling = state
+    gm = _db(pt["gamma_m_db"])
+    gf = _db(pt["gamma_f_db"])
+    prop = solve_proposed(channels, gm, gf, cfg.p_tol, cfg.noise_power,
+                          coupling=coupling)
+    cent = solve_centralized(coupling, gm, gf, cfg.noise_power)
+    return (float(prop.total_power), float(cent.total_power)), True
 
 
-def _power_compare_trial(trial, cfg, points, extra, seed):
-    channels, _ = _draw_scenario(cfg, seed, trial)
-    coupling = _trial_coupling(channels)
-    keys = _VALUE_KEYS["power-compare"]
-    if coupling is None:
-        return [_record(trial, pt, keys, (float("nan"), float("nan")), False)
-                for pt in points]
-    rows = []
-    for pt in points:
-        gm = _db(pt["gamma_m_db"])
-        gf = _db(pt["gamma_f_db"])
-        try:
-            prop = solve_proposed(channels, gm, gf, cfg.p_tol,
-                                  cfg.noise_power, coupling=coupling)
-            cent = solve_centralized(coupling, gm, gf, cfg.noise_power)
-            rows.append(_record(trial, pt, keys,
-                                (float(prop.total_power),
-                                 float(cent.total_power)), True))
-        except InfeasibleError:
-            rows.append(_record(trial, pt, keys,
-                                (float("nan"), float("nan")), False))
-    return rows
+def _mu_outage_step(state, pt, cfg):
+    channels, coupling = state
+    gm = _db(pt["gamma_m_db"])
+    prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
+                          cfg.noise_power, coupling=coupling)
+    # the slack absorbs rounding: solved SINRs meet their target with equality
+    outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
+    return (outage, float(prop.total_power)), True
 
 
-def _mu_outage_trial(trial, cfg, points, extra, seed):
-    channels, _ = _draw_scenario(cfg, seed, trial)
-    coupling = _trial_coupling(channels)
-    keys = _VALUE_KEYS["mu-outage"]
-    if coupling is None:
-        return [_record(trial, pt, keys, (1.0, float("nan")), False)
-                for pt in points]
-    rows = []
-    for pt in points:
-        gm = _db(pt["gamma_m_db"])
-        try:
-            prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
-                                  cfg.noise_power, coupling=coupling)
-            # the slack absorbs rounding: solved SINRs meet their target
-            # with equality
-            outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
-            rows.append(_record(trial, pt, keys,
-                                (outage, float(prop.total_power)), True))
-        except InfeasibleError:
-            rows.append(_record(trial, pt, keys, (1.0, float("nan")), False))
-    return rows
-
-
-def _tr_vs_zf_trial(trial, cfg, points, extra, seed):
-    channels, _ = _draw_scenario(cfg, seed, trial)
+def _tr_vs_zf_setup(channels, rng, cfg, extra):
+    """Single-tier couplings of the TR and the (non-strict) ZF beams."""
     h1 = channels.h1
-    n1 = h1.shape[1]
     tr = Coupling(0, *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
     u_zf, taps_zf = zf_select_cirs(h1, strict=False)
-    zf = Coupling(0, *coupling_terms(u_zf, h1, taps_zf))
-    keys = _VALUE_KEYS["tr-vs-zf"]
-    rows = []
-    for pt in points:
-        powers = np.full(n1, _dbm(pt["p_dbm"]))
-        # one tier alone, against the tolerated cross-tier floor
-        s_tr = victim_sinrs(tr, powers, cfg.noise_power, cfg.p_tol)
-        s_zf = victim_sinrs(zf, powers, cfg.noise_power, cfg.p_tol)
-        # dB per trial so the summary mean is tail-robust (geometric)
-        rows.append(_record(trial, pt, keys,
-                            (float(10.0 * np.log10(np.mean(s_tr))),
-                             float(10.0 * np.log10(np.mean(s_zf)))),
-                            True))
-    return rows
+    return tr, Coupling(0, *coupling_terms(u_zf, h1, taps_zf))
 
 
-def _bound_tightness_trial(trial, cfg, points, extra, seed):
-    channels, rng = _draw_scenario(cfg, seed, trial)
-    g = tr_beamformer_cirs(channels.h1)[:, 0, :]
-    h = channels.h1[:, 0, :]
-    keys = _VALUE_KEYS["bound-tightness"]
-    rows = []
-    for pt in points:
-        psi = float(pt["psi"])
-        young = young_upper(g, h, psi)
-        prop = proposed_upper(g, h, psi)
-        floor = worst_signal_lower(g, h, psi)
-        wc = worst_case_oracle(g, h, psi, rng=rng)
-        gap_db = float(10.0 * np.log10(young / prop))
-        rows.append(_record(trial, pt, keys,
-                            (young, prop, wc.max_energy, floor,
-                             wc.min_central, gap_db), True))
-    return rows
+def _tr_vs_zf_step(state, pt, cfg):
+    tr, zf = state
+    powers = np.full(tr.n1, _db(pt["p_dbm"] - 30.0))  # dBm to W
+    # one tier alone, against the tolerated cross-tier floor
+    s_tr = victim_sinrs(tr, powers, cfg.noise_power, cfg.p_tol)
+    s_zf = victim_sinrs(zf, powers, cfg.noise_power, cfg.p_tol)
+    # dB per trial so the summary mean is tail-robust (geometric)
+    return (float(10.0 * np.log10(np.mean(s_tr))),
+            float(10.0 * np.log10(np.mean(s_zf)))), True
 
 
-def _robust_stacks(channels, g, psi, cfg):
-    """Both worst-case coefficient stacks at one error fraction.
+def _bound_tightness_setup(channels, rng, cfg, extra):
+    """FU 0's TR beam and estimated channel, and the oracle's generator."""
+    return tr_beamformer_cirs(channels.h1)[:, 0, :], channels.h1[:, 0, :], rng
 
-    They depend on psi but not on the SINR target, so a trial builds them
-    once per psi and every gamma_f reuses them.
+
+def _bound_tightness_step(state, pt, cfg):
+    g, h, rng = state
+    psi = float(pt["psi"])
+    young = young_upper(g, h, psi)
+    prop = proposed_upper(g, h, psi)
+    floor = worst_signal_lower(g, h, psi)
+    wc = worst_case_oracle(g, h, psi, rng=rng)
+    gap_db = float(10.0 * np.log10(young / prop))
+    return (young, prop, wc.max_energy, floor, wc.min_central, gap_db), True
+
+
+def _robust_setup(channels, rng, cfg, extra):
+    """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
+    g = tr_beamformer_cirs(channels.h1)
+    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
+    return channels, g, nominal, rng, extra, {}
+
+
+def _robust_point(state, pt, cfg, ball):
+    """(error-ball statistics or None, designs, gamma_f) of one row.
+
+    The statistics and the worst-case stacks depend on psi but not on the
+    SINR target, so a trial builds them once per psi, the statistics
+    first, and every gamma_f reuses them.
     """
-    return {variant: assemble_bounds(channels, g, psi, cfg.p_tol,
+    channels, g, nominal, rng, extra, cache = state
+    psi = float(pt["psi"])
+    if psi not in cache:
+        stats = None
+        if ball:
+            stats = _ball_statistics(channels.h1, g, psi, rng,
+                                     int(extra["error_draws"]))
+        cache[psi] = stats, {
+            variant: assemble_bounds(channels, g, psi, cfg.p_tol,
                                      cfg.noise_power, variant=variant)
-            for variant in ("proposed", "young")}
+            for variant in _DESIGNS[1:]}
+    stats, stacks = cache[psi]
+    gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
+    return stats, _robust_designs(nominal, stacks, gf, cfg), gf
 
 
 def _robust_designs(nominal, stacks, gamma_f, cfg):
-    """Non-robust and both robust allocations; None marks infeasibility.
+    """Every design's allocation; None marks infeasibility.
 
     nominal is the trial's psi = 0 stack, the exact-CSI coefficients of
-    its TR beams, and stacks the _robust_stacks of those beams at the
-    row's psi; one solve serves all three.
+    its TR beams, and stacks the robust variants' stacks of those beams
+    at the row's psi; one solve serves every design.
     """
     designs = {}
     for label, bounds in (("nonrobust", nominal), *stacks.items()):
@@ -301,14 +239,11 @@ def _robust_designs(nominal, stacks, gamma_f, cfg):
 
 
 def _design_row(designs):
-    """(powers, flags, feasible) over the three designs.
-
-    A row is feasible only when all three designs solve.
-    """
+    """(power then flag cells, feasible); feasible if every design solves."""
     solved = [designs[k] is not None for k in _DESIGNS]
     powers = [float(np.sum(designs[k])) if ok else float("nan")
               for k, ok in zip(_DESIGNS, solved)]
-    return powers, [1.0 if ok else 0.0 for ok in solved], all(solved)
+    return (*powers, *(1.0 if ok else 0.0 for ok in solved)), all(solved)
 
 
 def _ball_statistics(h1, g, psi, rng, draws):
@@ -352,71 +287,112 @@ def _ball_outages(tot, main, designs, gamma_f, floor):
     return [outage.get(k, float("nan")) for k in _DESIGNS]
 
 
-def _fu_outage_trial(trial, cfg, points, extra, seed):
-    channels, rng = _draw_scenario(cfg, seed, trial)
-    g = tr_beamformer_cirs(channels.h1)
-    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
-    draws = int(extra["error_draws"])
-    keys = _VALUE_KEYS["fu-outage"]
-    floor = cfg.p_tol + cfg.noise_power
-    per_psi = {}
-    rows = []
-    for pt in points:
-        psi = float(pt["psi"])
-        gf = _db(pt["gamma_f_db"])
-        if psi not in per_psi:
-            per_psi[psi] = (
-                _ball_statistics(channels.h1, g, psi, rng, draws),
-                _robust_stacks(channels, g, psi, cfg))
-        (tot, main), stacks = per_psi[psi]
-        designs = _robust_designs(nominal, stacks, gf, cfg)
-        outages = _ball_outages(tot, main, designs, gf, floor)
-        powers, flags, feasible = _design_row(designs)
-        rows.append(_record(trial, pt, keys,
-                            (*outages, *powers, *flags), feasible))
-    return rows
+def _fu_outage_step(state, pt, cfg):
+    (tot, main), designs, gf = _robust_point(state, pt, cfg, True)
+    outages = _ball_outages(tot, main, designs, gf,
+                            cfg.p_tol + cfg.noise_power)
+    cells, feasible = _design_row(designs)
+    return (*outages, *cells), feasible
 
 
-def _robust_power_trial(trial, cfg, points, extra, seed):
-    channels, _ = _draw_scenario(cfg, seed, trial)
-    g = tr_beamformer_cirs(channels.h1)
-    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
-    keys = _VALUE_KEYS["robust-power"]
-    per_psi = {}
-    rows = []
-    for pt in points:
-        psi = float(pt["psi"])
-        gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
-        if psi not in per_psi:
-            per_psi[psi] = _robust_stacks(channels, g, psi, cfg)
-        designs = _robust_designs(nominal, per_psi[psi], gf, cfg)
-        powers, flags, feasible = _design_row(designs)
-        rows.append(_record(trial, pt, keys, (*powers, *flags), feasible))
-    return rows
+def _robust_power_step(state, pt, cfg):
+    return _design_row(_robust_point(state, pt, cfg, False)[1])
 
 
-_TRIAL_FUNCS = {
-    "power-compare": _power_compare_trial,
-    "mu-outage": _mu_outage_trial,
-    "tr-vs-zf": _tr_vs_zf_trial,
-    "bound-tightness": _bound_tightness_trial,
-    "fu-outage": _fu_outage_trial,
-    "robust-power": _robust_power_trial,
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: its CSV columns, sweep axes and per-trial work.
+
+    values and axes are in CSV order; axes maps each sweep key to its
+    default grid, and a None grid leaves the axis out unless swept (the
+    step then reads the config value). setup(channels, rng, cfg, extra)
+    builds what a trial's points share and step(state, point, cfg)
+    returns a point's (values, feasible); if either raises
+    InfeasibleError, the point gets the infeasible row. Both must be this
+    module's own functions, so that they reach the solvers through its
+    module-level names, which tracing rebinds.
+    """
+
+    values: tuple
+    infeasible: tuple
+    axes: dict
+    setup: object
+    step: object
+
+
+_NAN = float("nan")
+_POWERS = tuple(f"power_{k}_w" for k in _DESIGNS)
+_FLAGS = tuple(f"feas_{k}" for k in _DESIGNS)
+_OUTAGES = tuple(f"outage_{k}" for k in _DESIGNS)
+
+_REGISTRY = {
+    "power-compare": _Experiment(
+        values=("power_proposed_w", "power_centralized_w"),
+        infeasible=(_NAN, _NAN),
+        axes={"gamma_m_db": (-3.0, -1.0, 1.0),
+              "gamma_f_db": tuple(float(v) for v in range(-4, 5))},
+        setup=_nominal_setup, step=_power_compare_step),
+    "mu-outage": _Experiment(
+        values=("outage_rate", "power_total_w"),
+        infeasible=(1.0, _NAN),
+        axes={"gamma_m_db": tuple(float(v) for v in range(-4, 5))},
+        setup=_nominal_setup, step=_mu_outage_step),
+    "tr-vs-zf": _Experiment(
+        values=("sinr_tr_db", "sinr_zf_db"),
+        infeasible=(_NAN, _NAN),
+        axes={"p_dbm": tuple(float(v) for v in range(10, 41, 2))},
+        setup=_tr_vs_zf_setup, step=_tr_vs_zf_step),
+    "bound-tightness": _Experiment(
+        values=("young_w", "proposed_w", "oracle_max_w", "floor_w",
+                "oracle_min_w", "gap_db"),
+        infeasible=(_NAN,) * 6,
+        axes={"psi": (0.05, 0.1)},
+        setup=_bound_tightness_setup, step=_bound_tightness_step),
+    "fu-outage": _Experiment(
+        values=(*_OUTAGES, *_POWERS, *_FLAGS),
+        infeasible=(_NAN,) * (2 * len(_DESIGNS)) + (0.0,) * len(_DESIGNS),
+        axes={"psi": (0.04,), "gamma_f_db": (-6.0, -4.0, -2.0, 0.0, 2.0)},
+        setup=_robust_setup, step=_fu_outage_step),
+    "robust-power": _Experiment(
+        values=(*_POWERS, *_FLAGS),
+        infeasible=(_NAN,) * len(_DESIGNS) + (0.0,) * len(_DESIGNS),
+        axes={"psi": (0.0, 0.01, 0.02, 0.04, 0.08), "gamma_f_db": None},
+        setup=_robust_setup, step=_robust_power_step),
 }
+
+EXPERIMENTS = tuple(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
 # runner and CSV emission
 
-def _trial_worker(payload):
-    name, trial, cfg, points, extra, seed = payload
-    return _TRIAL_FUNCS[name](trial, cfg, points, extra, seed)
+def _run_trial(name, trial, cfg, points, extra, seed):
+    """Every TrialRecord of one trial: the experiment's setup runs once,
+    its step at each point. Only here does an InfeasibleError become the
+    infeasible row: of its point from a step, of every point from setup.
+    """
+    exp = _REGISTRY[name]
+    channels, rng = _draw_scenario(cfg, seed, trial)
+    try:
+        state = exp.setup(channels, rng, cfg, extra)
+    except InfeasibleError:
+        state = None
+    rows = []
+    for pt in points:
+        values, feasible = exp.infeasible, False
+        if state is not None:
+            try:
+                values, feasible = exp.step(state, pt, cfg)
+            except InfeasibleError:
+                pass
+        rows.append(TrialRecord(trial=trial, sweep=tuple(pt.items()),
+                                values=tuple(zip(exp.values, values)),
+                                feasible=feasible))
+    return rows
 
 
 def _worker_count():
-    raw = os.environ.get("HETNET_TR_THREADS")
-    if raw is None or raw == "":
-        return 1
+    raw = os.environ.get("HETNET_TR_THREADS") or "1"
     try:
         n = int(raw)
     except ValueError:
@@ -427,12 +403,6 @@ def _worker_count():
     return min(n, os.cpu_count() or 1)
 
 
-def _format_cell(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit_csv(path, name, points, rows):
     """Trial rows then per-point summary rows; floats via repr for exactness.
 
@@ -441,7 +411,7 @@ def _emit_csv(path, name, points, rows):
     feasible column; their trial column is -1.
     """
     sweep_keys = list(points[0].keys()) if points else []
-    value_keys = list(_VALUE_KEYS[name])
+    value_keys = list(_REGISTRY[name].values)
     lines = [",".join(["row", "trial", *sweep_keys, *value_keys,
                        "feasible"])]
     groups = {}
@@ -449,8 +419,8 @@ def _emit_csv(path, name, points, rows):
         cells = ["trial", str(r.trial)]
         sweep = dict(r.sweep)
         vals = dict(r.values)
-        cells += [_format_cell(float(sweep[k])) for k in sweep_keys]
-        cells += [_format_cell(float(vals[k])) for k in value_keys]
+        cells += [repr(float(sweep[k])) for k in sweep_keys]
+        cells += [repr(float(vals[k])) for k in value_keys]
         cells.append("1" if r.feasible else "0")
         lines.append(",".join(cells))
         groups.setdefault(r.sweep, []).append(r)
@@ -458,15 +428,15 @@ def _emit_csv(path, name, points, rows):
         group = groups.get(tuple(pt.items()), [])
         feas = [r for r in group if r.feasible]
         cells = ["summary", "-1"]
-        cells += [_format_cell(float(pt[k])) for k in sweep_keys]
+        cells += [repr(float(pt[k])) for k in sweep_keys]
         for k in value_keys:
             if feas:
                 mean = float(np.mean([dict(r.values)[k] for r in feas]))
             else:
                 mean = float("nan")
-            cells.append(_format_cell(mean))
+            cells.append(repr(mean))
         rate = len(feas) / len(group) if group else float("nan")
-        cells.append(_format_cell(float(rate)))
+        cells.append(repr(float(rate)))
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -487,13 +457,13 @@ def run_experiment(spec, config, error_draws=10_000):
                 for t in range(spec.trials)]
     workers = min(_worker_count(), spec.trials)
     if workers == 1:
-        batches = [_trial_worker(p) for p in payloads]
+        batches = [_run_trial(*p) for p in payloads]
     else:
         chunk = max(1, spec.trials // (4 * workers))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=spawn) as pool:
-            batches = list(pool.map(_trial_worker, payloads,
+            batches = list(pool.map(_run_trial, *zip(*payloads),
                                     chunksize=chunk))
     rows = [r for batch in batches for r in batch]
     _emit_csv(spec.output_path, spec.name, points, rows)

@@ -18,7 +18,7 @@ from hetnet_tr.channel import ScenarioConfig, draw_channel_set, place_nodes
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import (
     ExperimentSpec,
-    _fu_outage_trial,
+    _run_trial,
     run_experiment,
 )
 from hetnet_tr.power import (
@@ -298,7 +298,7 @@ def test_error_ball_outage_protection(capsys):
     cfg = ScenarioConfig()
     point = [{"psi": 0.04, "gamma_f_db": 2.0}]
     extra = {"error_draws": 10_000}
-    rows = [_fu_outage_trial(t, cfg, point, extra, 707)[0]
+    rows = [_run_trial("fu-outage", t, cfg, point, extra, 707)[0]
             for t in range(100)]
     vals = [dict(r.values) for r in rows]
     feas_p = sum(v["feas_proposed"] for v in vals)
@@ -317,8 +317,8 @@ def test_error_ball_outage_protection(capsys):
     low = [{"psi": 0.04, "gamma_f_db": -6.0}]
     dom_low_total = dom_low_bad = 0
     for t in range(100):
-        v = dict(_fu_outage_trial(t, cfg, low, {"error_draws": 1}, 707)[0]
-                 .values)
+        v = dict(_run_trial("fu-outage", t, cfg, low, {"error_draws": 1},
+                            707)[0].values)
         if v["feas_proposed"] == 1.0 and v["feas_young"] == 1.0:
             dom_low_total += 1
             if v["power_proposed_w"] > v["power_young_w"] * (1.0 + 1e-9):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hetnet_tr import cli, harness
 from hetnet_tr.cli import _parse_sweep, main
 from hetnet_tr.errors import ConfigError
 
@@ -73,12 +74,29 @@ class TestValidateCommand:
         assert "seed must be >= 0, got -1" in err
         assert "seed must be >= 0, got -3" in err
 
-    @pytest.mark.parametrize("body", ["exp_femto = 1000", "d_femto = 1e200"])
-    def test_path_loss_overflow_exits_2(self, tmp_path, capsys, body):
-        """The exponent fails when channels are drawn, the radius at load."""
+    @pytest.mark.parametrize("body", ["exp_femto = 1000", "d_femto = 1e200",
+                                      "d_femto = 1e-200", "gamma_f_db = 4000",
+                                      "p_tol_dbm = 4000"])
+    def test_path_loss_overflow_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        body):
+        """The exponent fails when channels are drawn. A radius or a dB
+        value beyond double precision fails at load, before any node is
+        placed (a radius whose square underflows would place forever)."""
         message = {"exp_femto = 1000": "tap variance zero or not finite",
                    "d_femto = 1e200": "d_femto = 1e+200 m puts the farthest "
-                                      "link"}[body]
+                                      "link",
+                   "d_femto = 1e-200": "d_femto = 1e-200 m is below double "
+                                       "precision",
+                   "gamma_f_db = 4000": "gamma_f_db must be finite in linear "
+                                        "units",
+                   "p_tol_dbm = 4000": "p_tol_dbm must be finite in linear "
+                                       "units"}[body]
+        if body != "exp_femto = 1000":
+            def unreachable(*args):
+                raise AssertionError("nodes placed for a rejected config")
+
+            monkeypatch.setattr(cli, "place_nodes", unreachable)
+            monkeypatch.setattr(harness, "place_nodes", unreachable)
         bad = tmp_path / "far.ini"
         bad.write_text(f"[scenario]\n{body}\n", encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 2

@@ -89,16 +89,21 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize("key,raw", [("exp_femto", "1000"),
-                                         ("d_femto", "1e200")])
+                                         ("d_femto", "1e200"),
+                                         ("d_femto", "1e-200"),
+                                         ("d_macro", "1e-170")])
     def test_path_loss_beyond_double_precision_rejected(self, tmp_path, key,
                                                         raw):
-        """A radius whose link distances have no finite square fails at load
-        time; an exponent whose path loss overflows loads, but its channels
-        cannot be drawn."""
+        """A radius whose link distances have no finite square, or whose
+        square underflows (place_nodes would resample zero distances
+        forever), fails at load time; an exponent whose path loss overflows
+        loads, but its channels cannot be drawn."""
         path = write_ini(tmp_path, f"[scenario]\n{key} = {raw}\n")
-        if key == "d_femto":
-            with pytest.raises(ConfigError,
-                               match=r"d_femto = 1e\+200 m .* not finite"):
+        message = {"1e200": r"d_femto = 1e\+200 m .* not finite",
+                   "1e-200": r"d_femto = 1e-200 m .* not a normal double",
+                   "1e-170": r"d_macro = 1e-170 m .* not a normal double"}
+        if raw in message:
+            with pytest.raises(ConfigError, match=message[raw]):
                 load_config(path)
             return
         cfg = load_config(path).scenario
@@ -124,7 +129,9 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key,raw", [
         ("exp_macro", "nan"), ("noise_power", "nan"), ("p_tol_dbm", "nan"),
-        ("d_femto", "nan"), ("d_macro", "inf"), ("gamma_f_db", "-inf")])
+        ("d_femto", "nan"), ("d_macro", "inf"), ("gamma_f_db", "-inf"),
+        ("gamma_m_db", "4000"), ("gamma_f_db", "4000"),
+        ("p_tol_dbm", "4000")])
     def test_non_finite_float_rejected(self, tmp_path, key, raw):
         path = write_ini(tmp_path, f"[scenario]\n{key} = {raw}\n")
         with pytest.raises(ConfigError, match=f"{key} must be finite"):

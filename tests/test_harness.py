@@ -11,18 +11,14 @@ from hetnet_tr.channel import ScenarioConfig
 from hetnet_tr.errors import ConfigError, InfeasibleError
 from hetnet_tr import harness
 from hetnet_tr.harness import (
+    _DESIGNS,
+    _REGISTRY,
     EXPERIMENTS,
     ExperimentSpec,
     _ball_statistics,
-    _bound_tightness_trial,
     _draw_scenario,
-    _fu_outage_trial,
-    _mu_outage_trial,
-    _power_compare_trial,
     _robust_designs,
-    _robust_power_trial,
-    _robust_stacks,
-    _tr_vs_zf_trial,
+    _run_trial,
     _worker_count,
     run_experiment,
 )
@@ -115,11 +111,32 @@ class TestExperimentSpec:
         assert [tuple(p.values()) for p in pts] == [(0.0, 2.0), (1.0, 2.0)]
 
 
+class TestRegistry:
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_default_grids_pass_as_explicit_sweeps(self, tmp_path, name):
+        """Each default grid is a sweep validate accepts, giving the same
+        points; the infeasible row has one cell per value column."""
+        entry = _REGISTRY[name]
+        sweep = {k: v for k, v in entry.axes.items() if v is not None}
+        spec = spec_for(name, tmp_path, sweep=sweep).validate()
+        assert spec.sweep_points() == spec_for(name, tmp_path).sweep_points()
+        assert len(entry.infeasible) == len(entry.values)
+
+    def test_robust_columns_follow_designs(self):
+        def columns(*patterns):
+            return tuple(p.format(k) for p in patterns for k in _DESIGNS)
+
+        assert _REGISTRY["fu-outage"].values == columns(
+            "outage_{}", "power_{}_w", "feas_{}")
+        assert _REGISTRY["robust-power"].values == columns(
+            "power_{}_w", "feas_{}")
+
+
 class TestTrialFunctions:
     def test_power_compare_values(self):
         cfg = ScenarioConfig()
-        rows = _power_compare_trial(0, cfg, [{"gamma_m_db": 1.0,
-                                              "gamma_f_db": 2.0}], {}, 5)
+        rows = _run_trial("power-compare", 0, cfg,
+                          [{"gamma_m_db": 1.0, "gamma_f_db": 2.0}], {}, 5)
         assert len(rows) == 1
         v = dict(rows[0].values)
         assert rows[0].feasible
@@ -129,14 +146,14 @@ class TestTrialFunctions:
     def test_power_compare_infeasible_is_nan(self):
         # gamma_f far above what any 4x2 femto draw supports
         cfg = ScenarioConfig()
-        rows = _power_compare_trial(0, cfg, [{"gamma_m_db": 1.0,
-                                              "gamma_f_db": 14.0}], {}, 5)
+        rows = _run_trial("power-compare", 0, cfg,
+                          [{"gamma_m_db": 1.0, "gamma_f_db": 14.0}], {}, 5)
         assert not rows[0].feasible
         assert all(math.isnan(val) for _, val in rows[0].values)
 
     def test_mu_outage_zero_at_convergence(self):
-        rows = _mu_outage_trial(0, ScenarioConfig(), [{"gamma_m_db": 1.0}],
-                                {}, 5)
+        rows = _run_trial("mu-outage", 0, ScenarioConfig(),
+                          [{"gamma_m_db": 1.0}], {}, 5)
         v = dict(rows[0].values)
         assert rows[0].feasible
         assert v["outage_rate"] == 0.0
@@ -144,8 +161,8 @@ class TestTrialFunctions:
     def test_tr_vs_zf_zf_slope_is_linear(self):
         """Exact interference nulling makes the ZF curve 1 dB per dBm."""
         cfg = ScenarioConfig()
-        rows = _tr_vs_zf_trial(0, cfg, [{"p_dbm": 20.0}, {"p_dbm": 30.0}],
-                               {}, 5)
+        rows = _run_trial("tr-vs-zf", 0, cfg,
+                          [{"p_dbm": 20.0}, {"p_dbm": 30.0}], {}, 5)
         zf20 = dict(rows[0].values)["sinr_zf_db"]
         zf30 = dict(rows[1].values)["sinr_zf_db"]
         assert zf30 - zf20 == pytest.approx(10.0, abs=1e-3)
@@ -153,15 +170,15 @@ class TestTrialFunctions:
 
     def test_tr_vs_zf_tr_saturates(self):
         cfg = ScenarioConfig()
-        rows = _tr_vs_zf_trial(0, cfg, [{"p_dbm": 30.0}, {"p_dbm": 60.0}],
-                               {}, 5)
+        rows = _run_trial("tr-vs-zf", 0, cfg,
+                          [{"p_dbm": 30.0}, {"p_dbm": 60.0}], {}, 5)
         tr30 = dict(rows[0].values)["sinr_tr_db"]
         tr60 = dict(rows[1].values)["sinr_tr_db"]
         assert tr60 - tr30 < 10.0
 
     def test_bound_tightness_ordering(self):
-        rows = _bound_tightness_trial(0, ScenarioConfig(),
-                                      [{"psi": 0.05}, {"psi": 0.1}], {}, 7)
+        rows = _run_trial("bound-tightness", 0, ScenarioConfig(),
+                          [{"psi": 0.05}, {"psi": 0.1}], {}, 7)
         for r in rows:
             v = dict(r.values)
             assert v["young_w"] >= v["proposed_w"]
@@ -172,9 +189,9 @@ class TestTrialFunctions:
 
     def test_fu_outage_columns(self):
         cfg = ScenarioConfig()
-        rows = _fu_outage_trial(0, cfg,
-                                [{"psi": 0.04, "gamma_f_db": -6.0}],
-                                {"error_draws": 40}, 5)
+        rows = _run_trial("fu-outage", 0, cfg,
+                          [{"psi": 0.04, "gamma_f_db": -6.0}],
+                          {"error_draws": 40}, 5)
         v = dict(rows[0].values)
         for label in ("nonrobust", "proposed", "young"):
             flag = v[f"feas_{label}"]
@@ -188,36 +205,42 @@ class TestTrialFunctions:
 
     def test_robust_power_feasibility_flags(self):
         cfg = ScenarioConfig()
-        rows = _robust_power_trial(2, cfg,
-                                   [{"psi": 0.04, "gamma_f_db": -6.0}], {}, 5)
+        rows = _run_trial("robust-power", 2, cfg,
+                          [{"psi": 0.04, "gamma_f_db": -6.0}], {}, 5)
         v = dict(rows[0].values)
         assert rows[0].feasible == all(
             v[f"feas_{k}"] == 1.0 for k in ("nonrobust", "proposed", "young"))
 
     def test_robust_power_psi_zero_matches_nominal(self):
         cfg = ScenarioConfig()
-        rows = _robust_power_trial(0, cfg,
-                                   [{"psi": 0.0, "gamma_f_db": 2.0}], {}, 5)
+        rows = _run_trial("robust-power", 0, cfg,
+                          [{"psi": 0.0, "gamma_f_db": 2.0}], {}, 5)
         v = dict(rows[0].values)
         assert v["feas_nonrobust"] == 1.0 and v["feas_proposed"] == 1.0
         assert v["power_proposed_w"] == v["power_nonrobust_w"]
 
 
 class TestRobustStacks:
-    def test_harness_stacks_are_assemble_bounds(self):
+    def test_harness_stacks_are_assemble_bounds(self, monkeypatch):
         """The rows use assemble_bounds of the trial's TR beams, bit for bit."""
+        built = {}
+
+        def recording(*args, variant="proposed"):
+            built[args[2], variant] = assemble_bounds(*args, variant=variant)
+            return built[args[2], variant]
+
+        monkeypatch.setattr(harness, "assemble_bounds", recording)
         cfg = ScenarioConfig()
         channels, _ = _draw_scenario(cfg, 5, 1)
         g = tr_beamformer_cirs(channels.h1)
         points = [{"psi": psi, "gamma_f_db": -6.0} for psi in (0.0, 0.04)]
-        rows = _robust_power_trial(1, cfg, points, {}, 5)
+        rows = _run_trial("robust-power", 1, cfg, points, {}, 5)
         for pt, row in zip(points, rows):
-            stacks = _robust_stacks(channels, g, pt["psi"], cfg)
             v = dict(row.values)
             for variant in ("proposed", "young"):
                 ref = assemble_bounds(channels, g, pt["psi"], cfg.p_tol,
                                       cfg.noise_power, variant=variant)
-                got = stacks[variant]
+                got = built[pt["psi"], variant]
                 for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
                     assert np.array_equal(getattr(got, field),
                                           getattr(ref, field))
@@ -228,7 +251,6 @@ class TestRobustStacks:
                     want = float("nan")
                 assert np.array_equal(v[f"power_{variant}_w"], want,
                                       equal_nan=True)
-
 
     def test_stacks_built_once_per_psi(self, monkeypatch):
         """Every gamma_f of a psi reuses that psi's two stacks."""
@@ -241,7 +263,8 @@ class TestRobustStacks:
         monkeypatch.setattr(harness, "assemble_bounds", counting)
         points = [{"psi": psi, "gamma_f_db": gf}
                   for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
-        _fu_outage_trial(0, ScenarioConfig(), points, {"error_draws": 5}, 5)
+        _run_trial("fu-outage", 0, ScenarioConfig(), points,
+                   {"error_draws": 5}, 5)
         # the non-robust design's psi = 0 stack is built once per trial
         assert sorted(calls) == [(0.0, None),
                                  (0.02, "proposed"), (0.02, "young"),

@@ -11,7 +11,7 @@ from helpers import crandn, designed_scenario, tr_coupling
 
 from hetnet_tr.channel import ChannelSet, ScenarioConfig
 from hetnet_tr.errors import InfeasibleError
-from hetnet_tr.harness import _bound_tightness_trial
+from hetnet_tr.harness import _run_trial
 from hetnet_tr.linops import toeplitz_conv_matrix
 from hetnet_tr.power import (
     FixedPoint,
@@ -366,7 +366,8 @@ class TestOracleAudit:
         points = [{"psi": psi} for psi in (0.01, 0.04, 0.1)]
         bad = []
         for trial in range(60):
-            for row in _bound_tightness_trial(trial, cfg, points, {}, 12345):
+            for row in _run_trial("bound-tightness", trial, cfg, points,
+                                  {}, 12345):
                 v = dict(row.values)
                 if v["oracle_min_w"] < v["floor_w"] * (1 - 1e-12) or \
                         v["oracle_max_w"] > v["proposed_w"] * (1 + 1e-12) or \
