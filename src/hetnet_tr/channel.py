@@ -1,5 +1,4 @@
-"""Network geometry, tapped-delay-line channel generation, and estimation-error
-injection.
+"""Network geometry and tapped-delay-line channel generation.
 
 Distances are in meters, tap variances follow the ITU power-delay profiles
 scaled by a distance power law.  Profile dBm columns are relative weights
@@ -142,6 +141,11 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{key} must be finite in linear units: "
                     f"{getattr(self, key):g} overflows a double")
+            # a target of 0 is met by zero power, which no solve certifies
+            if key != "p_tol_dbm" and not getattr(self, linear) > 0.0:
+                raise ConfigError(
+                    f"{key} must be positive in linear units: "
+                    f"{getattr(self, key):g} underflows to 0")
         if min(self.d_macro, self.d_femto, self.d_mbs_fbs) <= 0.0:
             raise ConfigError("radii and placement distance must be positive")
         # place_nodes resamples zero distances, and a disc whose squared
@@ -288,27 +292,3 @@ def draw_channel_set(config, geometry, rng):
     h10 = stack("h10", config.m1, geometry.d_10n)
     h01 = stack("h01", config.m0, geometry.d_01j)
     return ChannelSet(h0=h0, h1=h1, h10=h10, h01=h01)
-
-
-def sample_true_given_estimate(h_est, psi, rng, n):
-    """Draw n true channels consistent with an estimate under error factor psi.
-
-    The set {h : ||h_est - h||^2 <= psi*||h||^2} is a ball in the error
-    variable e = h_est - h with center -psi/(1-psi)*h_est and radius
-    sqrt(psi)/(1-psi)*||h_est||; draws are uniform in that ball.
-    Returns an (n, ...) stack of channels shaped like h_est.
-    """
-    if not (0.0 <= psi < 1.0):
-        raise ValueError(f"error factor must lie in [0, 1), got {psi}")
-    h = np.asarray(h_est, dtype=complex)
-    if psi == 0.0:
-        return np.broadcast_to(h, (n,) + h.shape).copy()
-    center = -psi / (1.0 - psi) * h.reshape(-1)
-    radius = np.sqrt(psi) / (1.0 - psi) * np.linalg.norm(h)
-    dim = h.size
-    z = rng.standard_normal((n, 2, dim))
-    direction = z[:, 0, :] + 1j * z[:, 1, :]
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    r = radius * rng.random(n) ** (1.0 / (2 * dim))
-    e = center[None, :] + r[:, None] * direction
-    return (h.reshape(-1)[None, :] - e).reshape((n,) + h.shape)

@@ -26,12 +26,10 @@ from .linops import responses
 from .power import solve_centralized, solve_proposed
 from .robust import (
     assemble_bounds,
-    proposed_upper,
+    link_bounds,
     sample_true_channels,
     solve_robust,
     worst_case_oracle,
-    worst_signal_lower,
-    young_upper,
 )
 from .sinr import Coupling, couple, coupling_terms, victim_sinrs
 
@@ -183,9 +181,7 @@ def _bound_tightness_setup(channels, rng, cfg, extra):
 def _bound_tightness_step(state, pt, cfg):
     g, h, rng = state
     psi = float(pt["psi"])
-    young = young_upper(g, h, psi)
-    prop = proposed_upper(g, h, psi)
-    floor = worst_signal_lower(g, h, psi)
+    young, prop, floor = link_bounds(g, h, psi)
     wc = worst_case_oracle(g, h, psi, rng=rng)
     gap_db = float(10.0 * np.log10(young / prop))
     return (young, prop, wc.max_energy, floor, wc.min_central, gap_db), True

@@ -8,6 +8,9 @@ ball
     || h - c_i ||  <=  r_i,   c_i = h_hat_i / (1-psi),
                               r_i = sqrt(psi) ||h_hat_i|| / (1-psi).
 
+_ball holds these centers and radii; the closed forms and the uniform
+sampler of true channels both read it.
+
 Every quantity the allocation needs is a linear map of the channels, and
 its worst case over this product of balls has a closed form (the
 worst-case analysis of Vorobyov, Gershman & Luo, IEEE TSP 2003). With
@@ -26,15 +29,15 @@ from ||G_i||_2 <= ||g_i||_1 and the largest norm ||c_i|| + r_i the ball
 admits. Either stack is a power.FixedPoint, the type of the exact-CSI
 coefficients, and solve_robust is the exact-CSI fixed point over it
 (power.solve_fixed_point) with the robust stage tag. An empirical oracle
-extremizes the true response functionals over the exact ball so the
-closed forms can be audited instead of trusted.
+extremizes the true response functionals over the exact ball, stated
+again in the error variable, so the closed forms can be audited instead
+of trusted.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_true_given_estimate
 from .linops import responses, toeplitz_conv_matrix
 from .power import FixedPoint, coupling_stack, solve_fixed_point
 from .sinr import Coupling, coupling_terms
@@ -58,6 +61,13 @@ def _check_psi(psi):
     return psi
 
 
+def _ball(h_hat, psi):
+    """Centers c_i (..., L) and radii r_i (...) of the true-channel balls."""
+    scale = 1.0 / (1.0 - psi)
+    radii = (np.sqrt(psi) * scale) * np.linalg.norm(h_hat, axis=-1)
+    return h_hat * scale, radii
+
+
 def _ball_bounds(g, h, psi):
     """Closed-form worst cases of every beam over every victim's ball.
 
@@ -72,9 +82,9 @@ def _ball_bounds(g, h, psi):
     off[..., taps - 1, :] = 0.0
     # spectral norms of every G_i and of G_i without its central row
     sv = np.linalg.svd(np.stack([G, off]), compute_uv=False)[..., 0]
-    scale = 1.0 / (1.0 - psi)
-    radii = ((np.sqrt(psi) * scale) * np.linalg.norm(h, axis=-1)).T
-    resp = responses(g, h * scale)
+    centers, radii = _ball(h, psi)
+    radii = radii.T
+    resp = responses(g, centers)
     central = np.abs(resp[..., taps - 1])
     energy = (np.linalg.norm(resp, axis=-1) + radii @ sv[0]) ** 2
     resp[..., taps - 1] = 0.0
@@ -96,41 +106,24 @@ def _young(g, h, psi):
     return (amp / (1.0 - float(np.sqrt(psi)))) ** 2
 
 
-def _link(g_hat, h_hat):
-    """One link's filters and channel as a single beam and victim."""
-    return (np.asarray(g_hat, dtype=complex)[:, None, :],
-            np.asarray(h_hat, dtype=complex)[:, None, :])
+def link_bounds(g_hat, h_hat, psi):
+    """(young, proposed, floor) of one link's filters and channel, each (M, L).
 
-
-def worst_signal_lower(g_hat, h_hat, psi):
-    """Exact floor on one link's central-tap signal coefficient.
-
-    max(0, |sum_i a_i^T c_i| - sum_i r_i ||a_i||)^2 over the shifted
-    balls; when positive it is attained at the boundary channels
-    c_i - (r_i / ||a_i||) e^{j arg sum a^T c} conj(a_i).
+    young is the norm-product ceiling and proposed the shifted-ball
+    ceiling (||sum_i G_i c_i|| + sum_i r_i ||G_i||_2)^2 on the link's total
+    response energy; proposed is never above young, since ||G_i||_2 <=
+    ||g_i||_1 and ||c_i|| + r_i is the largest norm the ball admits. floor
+    is the exact central-tap floor max(0, |sum_i a_i^T c_i| -
+    sum_i r_i ||a_i||)^2; when positive it is attained at the boundary
+    channels c_i - (r_i / ||a_i||) e^{j arg sum a^T c} conj(a_i). Transmit
+    power multiplies these unit-power values at the call site.
     """
     psi = _check_psi(psi)
-    return float(_ball_bounds(*_link(g_hat, h_hat), psi)[2][0, 0])
-
-
-def young_upper(g_hat, h_hat, psi):
-    """Norm-product ceiling on one link's total response energy.
-
-    Transmit power multiplies this unit-power ceiling at the call site.
-    """
-    psi = _check_psi(psi)
-    return float(_young(*_link(g_hat, h_hat), psi)[0, 0])
-
-
-def proposed_upper(g_hat, h_hat, psi):
-    """Shifted-ball ceiling on one link's total response energy.
-
-    (||sum_i G_i c_i|| + sum_i r_i ||G_i||_2)^2; never above young_upper,
-    since ||G_i||_2 <= ||g_i||_1 and ||c_i|| + r_i is the largest norm the
-    ball admits.
-    """
-    psi = _check_psi(psi)
-    return float(_ball_bounds(*_link(g_hat, h_hat), psi)[0][0, 0])
+    g = np.asarray(g_hat, dtype=complex)[:, None, :]
+    h = np.asarray(h_hat, dtype=complex)[:, None, :]
+    energy, _, floor = _ball_bounds(g, h, psi)
+    return (float(_young(g, h, psi)[0, 0]), float(energy[0, 0]),
+            float(floor[0, 0]))
 
 
 def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
@@ -178,16 +171,18 @@ def solve_robust(bounds, gamma_f, p_tol, noise):
 
 
 def _project_errors(e, h_hat, psi):
-    """Pull each antenna's error back onto its admissible shifted ball."""
-    out = np.array(e, dtype=complex)
-    for i in range(out.shape[0]):
-        center = -(psi / (1.0 - psi)) * h_hat[i]
-        radius = float(np.sqrt(psi)) * float(np.linalg.norm(h_hat[i])) / (1.0 - psi)
-        dev = out[i] - center
-        nd = float(np.linalg.norm(dev))
-        if nd > radius:
-            out[i] = center if radius == 0.0 else center + dev * (radius / nd)
-    return out
+    """Pull each antenna's error back onto its admissible shifted ball.
+
+    The ball is stated here in the error variable, apart from _ball, so the
+    oracle that audits the closed forms shares no geometry with them.
+    """
+    center = -(psi / (1.0 - psi)) * h_hat
+    radius = float(np.sqrt(psi)) * np.linalg.norm(h_hat, axis=-1) / (1.0 - psi)
+    dev = e - center
+    nd = np.linalg.norm(dev, axis=-1)
+    outside = nd > radius
+    pulled = center + dev * (radius / np.where(outside, nd, 1.0))[..., None]
+    return np.where(outside[..., None], pulled, e)
 
 
 def worst_case_oracle(g_hat, h_hat, psi, n_probes=2000, n_ascent=60, rng=None):
@@ -288,16 +283,26 @@ def worst_case_oracle(g_hat, h_hat, psi, n_probes=2000, n_ascent=60, rng=None):
 
 
 def sample_true_channels(h_hat, psi, rng, count):
-    """Draw count true channels h = h_hat - e, e uniform over the error set.
+    """Draw count true channels (count, M, L), uniform over the product of balls.
 
-    Antennas are independent: each row's admissible errors form their own
-    shifted ball, sampled uniformly (sample_true_given_estimate does the
-    ball geometry). Returns (count, M, L).
+    Antenna by antenna, a standard normal direction and then a uniform
+    radius fraction u place each draw at c_i - r_i u^(1/2L) dir; psi = 0
+    returns the estimate and reads nothing from rng.
     """
     psi = _check_psi(psi)
     h = np.asarray(h_hat, dtype=complex)
     count = int(count)
     if count < 1:
         raise ValueError("count must be a positive integer")
-    return np.stack([sample_true_given_estimate(h[i], psi, rng, count)
-                     for i in range(h.shape[0])], axis=1)
+    m, taps = h.shape
+    if psi == 0.0:
+        return np.broadcast_to(h, (count, m, taps)).copy()
+    centers, radii = _ball(h, psi)
+    out = np.empty((count, m, taps), dtype=complex)
+    for i in range(m):
+        z = rng.standard_normal((count, 2, taps))
+        direction = z[:, 0, :] + 1j * z[:, 1, :]
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        reach = radii[i] * rng.random(count) ** (1.0 / (2 * taps))
+        out[:, i, :] = centers[i] - reach[:, None] * direction
+    return out

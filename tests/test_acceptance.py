@@ -30,11 +30,9 @@ from hetnet_tr.power import (
 )
 from hetnet_tr.robust import (
     assemble_bounds,
-    proposed_upper,
+    link_bounds,
     solve_robust,
     worst_case_oracle,
-    worst_signal_lower,
-    young_upper,
 )
 from hetnet_tr.sinr import couple, fu_breakdown, sinr
 
@@ -273,8 +271,7 @@ def test_interference_bound_ordering(capsys):
         g = tr_beamformer_cirs(ch.h1)[:, 0, :]
         h = ch.h1[:, 0, :]
         for psi in (0.05, 0.1):
-            young = young_upper(g, h, psi)
-            prop = proposed_upper(g, h, psi)
+            young, prop, _ = link_bounds(g, h, psi)
             if young < prop * (1.0 - 1e-12):
                 exceptions += 1
             gaps.append(10.0 * math.log10(young / prop))
@@ -374,7 +371,7 @@ def test_signal_floor_probe_equality(capsys):
         ch, rng = draw_scenario(cfg, 808, i)
         g = tr_beamformer_cirs(ch.h1)[:, 0, :]
         h = ch.h1[:, 0, :]
-        floor = worst_signal_lower(g, h, psi)
+        floor = link_bounds(g, h, psi)[2]
         # c_i - (r_i/||a_i||) e^{j arg sum a^T c} conj(a_i), a_i = g_i reversed
         a = g[:, ::-1]
         c = h / (1.0 - psi)

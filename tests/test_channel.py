@@ -11,9 +11,9 @@ from hetnet_tr.channel import (
     draw_cir,
     get_profile,
     place_nodes,
-    sample_true_given_estimate,
 )
 from hetnet_tr.errors import ConfigError
+from hetnet_tr.robust import sample_true_channels
 
 from oracles import perturb_cir
 
@@ -203,35 +203,37 @@ class TestPerturbCir:
 
 
 class TestSampleTrueGivenEstimate:
+    """robust.sample_true_channels on one antenna (1, L) and on M antennas."""
+
     def test_every_draw_is_feasible(self):
         """Each sampled truth must explain the estimate within the error budget."""
         rng = np.random.default_rng(13)
-        h_est = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h_est = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
         psi = 0.04
-        draws = sample_true_given_estimate(h_est, psi, rng, 50_000)
-        assert draws.shape == (50_000, 6)
-        err = np.linalg.norm(h_est[None, :] - draws, axis=1) ** 2
-        true_norm = np.linalg.norm(draws, axis=1) ** 2
+        draws = sample_true_channels(h_est, psi, rng, 50_000)
+        assert draws.shape == (50_000, 1, 6)
+        err = np.linalg.norm(h_est[None] - draws, axis=2) ** 2
+        true_norm = np.linalg.norm(draws, axis=2) ** 2
         assert (err <= psi * true_norm * (1 + 1e-9)).all()
 
     def test_ball_is_reached(self):
         # draws should spread beyond the naive truth-side radius on occasion
         rng = np.random.default_rng(14)
-        h_est = np.array([1.0, 0.0, 0.0], dtype=complex)
-        draws = sample_true_given_estimate(h_est, 0.25, rng, 20_000)
-        err = np.linalg.norm(h_est[None, :] - draws, axis=1)
+        h_est = np.array([[1.0, 0.0, 0.0]], dtype=complex)
+        draws = sample_true_channels(h_est, 0.25, rng, 20_000)
+        err = np.linalg.norm(h_est[None] - draws, axis=2)
         assert err.max() > 0.5 * 1.1   # exceeds sqrt(psi)*||h_est|| draws
 
     def test_zero_psi(self):
-        h_est = np.array([1.0 + 2j, 3.0])
-        draws = sample_true_given_estimate(h_est, 0.0, np.random.default_rng(0), 5)
-        assert draws.shape == (5, 2)
-        assert (draws == h_est[None, :]).all()
+        h_est = np.array([[1.0 + 2j, 3.0]])
+        draws = sample_true_channels(h_est, 0.0, np.random.default_rng(0), 5)
+        assert draws.shape == (5, 1, 2)
+        assert (draws == h_est[None]).all()
 
     def test_matrix_shaped_estimate(self):
         rng = np.random.default_rng(15)
         h_est = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        draws = sample_true_given_estimate(h_est, 0.04, rng, 100)
+        draws = sample_true_channels(h_est, 0.04, rng, 100)
         assert draws.shape == (100, 4, 6)
         err = np.linalg.norm((h_est[None] - draws).reshape(100, -1), axis=1) ** 2
         nrm = np.linalg.norm(draws.reshape(100, -1), axis=1) ** 2

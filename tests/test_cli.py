@@ -76,12 +76,14 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("body", ["exp_femto = 1000", "d_femto = 1e200",
                                       "d_femto = 1e-200", "gamma_f_db = 4000",
-                                      "p_tol_dbm = 4000"])
+                                      "p_tol_dbm = 4000", "gamma_m_db = -4000",
+                                      "gamma_f_db = -4000"])
     def test_path_loss_overflow_exits_2(self, tmp_path, capsys, monkeypatch,
                                         body):
         """The exponent fails when channels are drawn. A radius or a dB
         value beyond double precision fails at load, before any node is
-        placed (a radius whose square underflows would place forever)."""
+        placed (a radius whose square underflows would place forever, and
+        a target that underflows to 0 has no certified least power)."""
         message = {"exp_femto = 1000": "tap variance zero or not finite",
                    "d_femto = 1e200": "d_femto = 1e+200 m puts the farthest "
                                       "link",
@@ -90,7 +92,11 @@ class TestValidateCommand:
                    "gamma_f_db = 4000": "gamma_f_db must be finite in linear "
                                         "units",
                    "p_tol_dbm = 4000": "p_tol_dbm must be finite in linear "
-                                       "units"}[body]
+                                       "units",
+                   "gamma_m_db = -4000": "gamma_m_db must be positive in "
+                                         "linear units",
+                   "gamma_f_db = -4000": "gamma_f_db must be positive in "
+                                         "linear units"}[body]
         if body != "exp_femto = 1000":
             def unreachable(*args):
                 raise AssertionError("nodes placed for a rejected config")

@@ -131,10 +131,13 @@ class TestLoadConfig:
         ("exp_macro", "nan"), ("noise_power", "nan"), ("p_tol_dbm", "nan"),
         ("d_femto", "nan"), ("d_macro", "inf"), ("gamma_f_db", "-inf"),
         ("gamma_m_db", "4000"), ("gamma_f_db", "4000"),
-        ("p_tol_dbm", "4000")])
+        ("p_tol_dbm", "4000"), ("gamma_m_db", "-4000"),
+        ("gamma_f_db", "-4000")])
     def test_non_finite_float_rejected(self, tmp_path, key, raw):
+        """A dB target whose linear value underflows to 0 is refused too."""
         path = write_ini(tmp_path, f"[scenario]\n{key} = {raw}\n")
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        must = "positive" if raw == "-4000" else "finite"
+        with pytest.raises(ConfigError, match=f"{key} must be {must}"):
             load_config(path)
 
     def test_scenario_validation_applied(self, tmp_path):

@@ -21,13 +21,12 @@ from hetnet_tr.power import (
 )
 from hetnet_tr.robust import (
     WorstCaseExtrema,
+    _project_errors,
     assemble_bounds,
-    proposed_upper,
+    link_bounds,
     sample_true_channels,
     solve_robust,
     worst_case_oracle,
-    worst_signal_lower,
-    young_upper,
 )
 from hetnet_tr.sinr import Coupling, couple, coupling_terms
 
@@ -59,11 +58,13 @@ def floor_probe(g, h, psi):
 
 
 class TestWorstSignalLower:
+    """The floor, link_bounds' third value."""
+
     def test_zero_error_matches_estimate(self):
         """psi=0 returns the estimated central-tap coefficient."""
         g, h = femto_link(seed=3)
         est = abs(response(g, h)[h.shape[1] - 1]) ** 2
-        assert worst_signal_lower(g, h, 0.0) == pytest.approx(est, rel=1e-12)
+        assert link_bounds(g, h, 0.0)[2] == pytest.approx(est, rel=1e-12)
 
     def test_scaling_factor(self):
         """Center amplitude and radius both scale by 1/(1-psi)."""
@@ -72,7 +73,7 @@ class TestWorstSignalLower:
         reach = np.sqrt(PSI) * float(np.sum(np.linalg.norm(h, axis=1)
                                             * np.linalg.norm(g, axis=1)))
         want = ((amp - reach) / (1.0 - PSI)) ** 2
-        assert worst_signal_lower(g, h, PSI) == pytest.approx(want, rel=1e-12)
+        assert link_bounds(g, h, PSI)[2] == pytest.approx(want, rel=1e-12)
 
     def test_unit_estimate_single_antenna(self):
         """Matched filter on a unit-norm single-antenna estimate gives 1/(1+sqrt(psi))^2."""
@@ -80,7 +81,7 @@ class TestWorstSignalLower:
         h = crandn(rng, 1, 6)
         h /= np.linalg.norm(h)
         g = np.conj(h[:, ::-1])
-        assert worst_signal_lower(g, h, PSI) == pytest.approx(
+        assert link_bounds(g, h, PSI)[2] == pytest.approx(
             1.0 / (1.0 + np.sqrt(PSI)) ** 2, rel=1e-12)
 
     def test_attained_at_anti_aligned_boundary(self):
@@ -94,42 +95,44 @@ class TestWorstSignalLower:
                     * (1 + 1e-9)).all()
             attained = abs(response(g, truth)[h.shape[1] - 1]) ** 2
             assert attained == pytest.approx(
-                worst_signal_lower(g, h, PSI), rel=1e-10)
+                link_bounds(g, h, PSI)[2], rel=1e-10)
 
     def test_nonincreasing_in_psi(self):
         """Larger error fractions never raise the floor."""
         g, h = femto_link(seed=5)
-        vals = [worst_signal_lower(g, h, p) for p in (0.0, 0.01, 0.04, 0.16)]
+        vals = [link_bounds(g, h, p)[2] for p in (0.0, 0.01, 0.04, 0.16)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_bad_psi(self):
         """Error fractions outside [0, 1) are refused."""
         g, h = femto_link(seed=5)
         with pytest.raises(ValueError):
-            worst_signal_lower(g, h, 1.0)
+            link_bounds(g, h, 1.0)
         with pytest.raises(ValueError):
-            worst_signal_lower(g, h, -0.1)
+            link_bounds(g, h, -0.1)
 
 
 class TestYoungUpper:
+    """The norm-product ceiling, link_bounds' first value."""
+
     def test_scalar_link_is_tight(self):
         """Length-1 single antenna: convolution is a product, bound is exact."""
         g = np.array([[2.0 - 1.0j]])
         h = np.array([[0.5 + 0.5j]])
         want = (abs(g[0, 0]) * abs(h[0, 0])) ** 2 / (1.0 - np.sqrt(PSI)) ** 2
-        assert young_upper(g, h, PSI) == pytest.approx(want, rel=1e-12)
+        assert link_bounds(g, h, PSI)[0] == pytest.approx(want, rel=1e-12)
 
     def test_ceilings_estimate_energy(self):
         """At psi=0 the bound still dominates the estimate's response energy."""
         for seed in range(5):
             g, h = femto_link(seed=seed)
             energy = float(np.sum(np.abs(response(g, h)) ** 2))
-            assert young_upper(g, h, 0.0) >= energy
+            assert link_bounds(g, h, 0.0)[0] >= energy
 
     def test_ceilings_sampled_true_energy(self):
         """The bound dominates the response energy at sampled admissible channels."""
         g, h = femto_link(seed=7)
-        bound = young_upper(g, h, PSI)
+        bound = link_bounds(g, h, PSI)[0]
         rng = np.random.default_rng(70)
         for truth in sample_true_channels(h, PSI, rng, count=200):
             assert float(np.sum(np.abs(response(g, truth)) ** 2)) <= bound
@@ -137,24 +140,26 @@ class TestYoungUpper:
     def test_nondecreasing_in_psi(self):
         """Larger error fractions never shrink the ceiling."""
         g, h = femto_link(seed=8)
-        vals = [young_upper(g, h, p) for p in (0.0, 0.01, 0.04, 0.16)]
+        vals = [link_bounds(g, h, p)[0] for p in (0.0, 0.01, 0.04, 0.16)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestProposedUpper:
+    """The shifted-ball ceiling, link_bounds' second value."""
+
     def test_single_antenna_closed_form(self):
         """One antenna: (||G c|| + r ||G||_2)^2 with a dense spectral norm."""
         g, h = femto_link(seed=15)
         G = toeplitz_conv_matrix(g[0])
         c, r = ball(h[:1], PSI)
         want = (np.linalg.norm(G @ c[0]) + r[0] * np.linalg.norm(G, 2)) ** 2
-        assert proposed_upper(g[:1], h[:1], PSI) == pytest.approx(
+        assert link_bounds(g[:1], h[:1], PSI)[1] == pytest.approx(
             want, rel=1e-12)
 
     def test_ceilings_sampled_true_energy(self):
         """The bound dominates the response energy at sampled admissible channels."""
         g, h = femto_link(seed=7)
-        bound = proposed_upper(g, h, PSI)
+        bound = link_bounds(g, h, PSI)[1]
         rng = np.random.default_rng(71)
         for truth in sample_true_channels(h, PSI, rng, count=200):
             assert float(np.sum(np.abs(response(g, truth)) ** 2)) <= bound
@@ -163,12 +168,13 @@ class TestProposedUpper:
         """The extremal-direction ceiling is the tighter of the two families."""
         for seed in range(20):
             g, h = femto_link(seed=seed, j=seed % 2)
-            assert proposed_upper(g, h, PSI) <= young_upper(g, h, PSI) * (1 + 1e-12)
+            young, prop, _ = link_bounds(g, h, PSI)
+            assert prop <= young * (1 + 1e-12)
 
     def test_nondecreasing_in_psi(self):
         """Larger error fractions never shrink the ceiling."""
         g, h = femto_link(seed=16)
-        vals = [proposed_upper(g, h, p) for p in (0.0, 0.01, 0.04, 0.16)]
+        vals = [link_bounds(g, h, p)[1] for p in (0.0, 0.01, 0.04, 0.16)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_zero_filter_gives_zero(self):
@@ -176,7 +182,7 @@ class TestProposedUpper:
         g = np.zeros((2, 6), dtype=complex)
         rng = np.random.default_rng(17)
         h = crandn(rng, 2, 6)
-        assert proposed_upper(g, h, PSI) == 0.0
+        assert link_bounds(g, h, PSI)[1] == 0.0
 
 
 class TestAssembleBounds:
@@ -232,7 +238,8 @@ class TestAssembleBounds:
                             variant="young")
         for j in range(2):
             for j2 in range(2):
-                ceiling = young_upper(beams.g[:, j2, :], ch.h1[:, j, :], PSI)
+                ceiling, _, _ = link_bounds(beams.g[:, j2, :], ch.h1[:, j, :],
+                                            PSI)
                 got = (b.pl_sig_coeff[j] + b.pu_isi_coeff[j] if j == j2
                        else b.pu_co_coeff[j, j2])
                 assert got == pytest.approx(ceiling, rel=1e-12)
@@ -338,7 +345,7 @@ class TestWorstCaseOracle:
         """
         g, h = femto_link(seed=19)
         wc = worst_case_oracle(g, h, PSI, n_probes=800, n_ascent=40)
-        assert wc.min_central >= worst_signal_lower(g, h, PSI) * (1 - 1e-12)
+        assert wc.min_central >= link_bounds(g, h, PSI)[2] * (1 - 1e-12)
 
     def test_counts_all_evaluations(self):
         """Probe accounting covers the fixed probes plus requested samples."""
@@ -484,3 +491,52 @@ class TestSampleTrueChannels:
         g, h = femto_link(seed=24)
         with pytest.raises(ValueError):
             sample_true_channels(h, PSI, np.random.default_rng(0), count=0)
+
+    def test_draw_order_pinned(self):
+        """The generator is read antenna by antenna: a (count, 2, L) normal
+        block for the directions, then count uniforms for the radii. psi = 0
+        reads nothing."""
+        g, h = femto_link(seed=25)
+        count, (m, taps) = 9, h.shape
+        got = sample_true_channels(h, PSI, np.random.default_rng(250), count)
+        rng = np.random.default_rng(250)
+        c, r = ball(h, PSI)
+        for i in range(m):
+            z = rng.standard_normal((count, 2, taps))
+            d = z[:, 0, :] + 1j * z[:, 1, :]
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+            reach = r[i] * rng.random(count) ** (1.0 / (2 * taps))
+            np.testing.assert_allclose(got[:, i, :],
+                                       c[i] - reach[:, None] * d, rtol=1e-14)
+        before = rng.bit_generator.state
+        sample_true_channels(h, 0.0, rng, count)
+        assert rng.bit_generator.state == before
+
+
+class TestProjectErrors:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+           taps=st.integers(1, 6), psi=st.floats(0.001, 0.5))
+    def test_inside_kept_outside_on_boundary(self, seed, m, taps, psi):
+        """Errors already in their ball come back bit for bit; the others
+        land on its boundary. A zero channel row has radius 0, and its
+        error goes to the center."""
+        rng = np.random.default_rng(seed)
+        h = crandn(rng, m, taps)
+        zero = rng.random(m) < 0.2
+        h[zero] = 0.0
+        center = -(psi / (1.0 - psi)) * h
+        radius = np.sqrt(psi) * np.linalg.norm(h, axis=1) / (1.0 - psi)
+        d = crandn(rng, 3, m, taps)
+        d /= np.linalg.norm(d, axis=2, keepdims=True)
+        reach = rng.uniform(0.0, 2.0, (3, m)) * radius
+        reach[:, zero] = 1.0
+        e = center + reach[:, :, None] * d
+        for k in range(3):
+            out = _project_errors(e[k], h, psi)
+            inside = reach[k] < radius
+            assert np.array_equal(out[inside], e[k][inside])
+            dist = np.linalg.norm(out - center, axis=1)
+            np.testing.assert_allclose(dist[~inside], radius[~inside],
+                                       rtol=1e-12, atol=0.0)
+            assert np.array_equal(out[zero], center[zero])
