@@ -157,9 +157,10 @@ def _mu_outage_step(state, pt, cfg):
 def _tr_vs_zf_setup(channels, rng, cfg, extra):
     """Single-tier couplings of the TR and the (non-strict) ZF beams."""
     h1 = channels.h1
-    tr = Coupling(0, *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
+    tr = Coupling.from_energy(
+        *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
     u_zf, taps_zf = zf_select_cirs(h1, strict=False)
-    return tr, Coupling(0, *coupling_terms(u_zf, h1, taps_zf))
+    return tr, Coupling.from_energy(*coupling_terms(u_zf, h1, taps_zf))
 
 
 def _tr_vs_zf_step(state, pt, cfg):

@@ -14,15 +14,15 @@ Centralized reference: all N0+N1 SINR constraints stacked into one linear
 fixed point, solved exactly; it lower-bounds the two-step scheme's power.
 
 The femto, robust (robust.solve_robust) and centralized designs are one
-fixed point over one target-free FixedPoint stack: exact coefficients of
-a Coupling block (coupling_stack), or floors and ceilings from
-robust.assemble_bounds. solve_fixed_point applies the SINR target and
-solves it once, which is also the feasibility test: with d = gamma/phi
-and phi the signal a unit of power keeps above its own ISI,
-(I - d co) p = d z has a nonnegative solution exactly when the spectral
-radius of d co is below one (the M-matrix characterization), and that
-solution is then positive. The sign of the solution is the certificate,
-so no eigenvalue is computed.
+fixed point over one target-free sinr.Coupling: a realization's exact
+coefficients (the FU block of them for the femto tier, build_femto_lp,
+as views), or floors and ceilings from robust.assemble_bounds.
+solve_fixed_point applies the SINR target and solves it once, which is
+also the feasibility test: with d = gamma/phi and phi the signal a unit
+of power keeps above its own ISI, (I - d co) p = d z has a nonnegative
+solution exactly when the spectral radius of d co is below one (the
+M-matrix characterization), and that solution is then positive. The sign
+of the solution is the certificate, so no eigenvalue is computed.
 
 Every stage reads the beams through one sinr.Coupling and takes no beam
 arrays, so a coupling cannot be paired with other beams.
@@ -34,25 +34,7 @@ import numpy as np
 
 from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
-from .sinr import couple, victim_sinrs
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    """Per-unit-power SINR coefficients of n users, free of any target.
-
-    pl_sig_coeff[j] is the power a unit of p_j puts at user j's sampling
-    tap, pu_isi_coeff[j] the rest of its own response energy, and
-    pu_co_coeff[j, j2] the energy of user j2's beam at user j (zero
-    diagonal). User j meets its target gamma_j when
-    p_j pl_sig_coeff[j] >= gamma_j (p_j pu_isi_coeff[j] + (pu_co_coeff p)[j]
-    + z_j). Exact channels give the coefficients themselves, the robust
-    design floors and ceilings on them.
-    """
-
-    pl_sig_coeff: np.ndarray
-    pu_isi_coeff: np.ndarray
-    pu_co_coeff: np.ndarray
+from .sinr import Coupling, couple, victim_sinrs
 
 
 @dataclass(frozen=True)
@@ -78,26 +60,15 @@ class AllocationResult:
     total_power: float
 
 
-def coupling_stack(coupling, block=slice(None)):
-    """Exact FixedPoint of the users in one block of a Coupling.
-
-    block slices both axes: coupling.femto for the femto tier, the whole
-    coupling for the centralized stack.
-    """
-    sig = coupling.signal[block].copy()
-    co = coupling.energy[block, block].copy()
-    isi = np.diagonal(co) - sig
-    np.fill_diagonal(co, 0.0)
-    return FixedPoint(pl_sig_coeff=sig, pu_isi_coeff=isi, pu_co_coeff=co)
-
-
 def build_femto_lp(coupling):
-    """FixedPoint of coupling's FUs and TR beams."""
-    return coupling_stack(coupling, coupling.femto)
+    """Single-tier Coupling of coupling's FUs and TR beams, as views."""
+    fu = coupling.femto
+    return Coupling(coupling.pl_sig_coeff[fu], coupling.pu_isi_coeff[fu],
+                    coupling.pu_co_coeff[fu, fu])
 
 
 def solve_fixed_point(stack, gamma, z, stage):
-    """Minimal powers meeting every target of a FixedPoint with equality.
+    """Minimal powers meeting every target of a Coupling with equality.
 
     gamma (the SINR targets) and z (the interference-plus-noise watts no
     power controls) broadcast over the users. With phi = sig - gamma*isi
@@ -137,7 +108,8 @@ def cross_report(coupling, p1):
     These N0 scalars are the only femto-side quantities the macro tier
     sees.
     """
-    return (coupling.energy[:coupling.n0, coupling.femto] * p1).sum(axis=1)
+    co = coupling.pu_co_coeff[:coupling.n0, coupling.femto]
+    return (co * p1).sum(axis=1)
 
 
 def macro_coefficients(coupling, cross_star, noise):
@@ -149,18 +121,16 @@ def macro_coefficients(coupling, cross_star, noise):
     inflicts on FU j. Own-ISI is clamped at zero: for an exact ZF beam it
     is zero, and rounding can leave it a few ulp below.
     """
-    N0 = coupling.n0
-    energy = coupling.energy[:, coupling.macro]
-    s = coupling.signal[coupling.macro]
+    N0, mu = coupling.n0, coupling.macro
+    co = coupling.pu_co_coeff[:, mu]
+    s = coupling.pl_sig_coeff[mu]
     if (s == 0.0).any():
         raise InfeasibleError(
             "macro", f"zero main tap for user {int(np.argmin(s != 0.0))}")
-    own_isi = np.maximum(np.diagonal(energy) - s, 0.0)
-    leak = energy[:N0].copy()
-    np.fill_diagonal(leak, 0.0)
-    delta = (own_isi + leak.sum(axis=0)) / s
+    own_isi = np.maximum(coupling.pu_isi_coeff[mu], 0.0)
+    delta = (own_isi + co[:N0].sum(axis=0)) / s
     nabla = (np.asarray(cross_star, dtype=float) + noise) / s
-    return delta, nabla, energy[N0:].T.copy()
+    return delta, nabla, co[N0:].T
 
 
 def macro_powers(delta, nabla, gamma, caps_i, p_tol):
@@ -230,8 +200,7 @@ def solve_centralized(coupling, gamma_m, gamma_f, noise):
         np.broadcast_to(np.asarray(gamma_m, dtype=float), (coupling.n0,)),
         np.broadcast_to(np.asarray(gamma_f, dtype=float), (coupling.n1,)),
     ])
-    p = solve_fixed_point(coupling_stack(coupling), gamma, noise,
-                          "centralized")
+    p = solve_fixed_point(coupling, gamma, noise, "centralized")
     s = victim_sinrs(coupling, p, noise)
     return AllocationResult(
         p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],

@@ -26,7 +26,7 @@ ISI by the same expression with the central row of every G_i dropped.
 These fill the `proposed` stack. The `young` stack keeps the looser
 norm-product ceiling (sum_i ||g_i||_1 ||h_hat_i|| / (1 - sqrt(psi)))^2,
 from ||G_i||_2 <= ||g_i||_1 and the largest norm ||c_i|| + r_i the ball
-admits. Either stack is a power.FixedPoint, the type of the exact-CSI
+admits. Either stack is a sinr.Coupling, the type of the exact-CSI
 coefficients, and solve_robust is the exact-CSI fixed point over it
 (power.solve_fixed_point) with the robust stage tag. An empirical oracle
 extremizes the true response functionals over the exact ball, stated
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linops import responses, toeplitz_conv_matrix
-from .power import FixedPoint, coupling_stack, solve_fixed_point
+from .power import solve_fixed_point
 from .sinr import Coupling, coupling_terms
 
 _VARIANTS = ("proposed", "young")
@@ -127,15 +127,14 @@ def link_bounds(g_hat, h_hat, psi):
 
 
 def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
-    """Worst-case FixedPoint stack for the femto allocation.
+    """Worst-case single-tier Coupling for the femto allocation.
 
     channels_est holds the estimated CIR set and g_hat the TR filters built
     from it; variant picks the interference ceiling family. Both share the
     exact signal floor. `proposed` ceilings the ISI directly; `young`
     ceilings the whole own-link energy and leaves the floor's share of it
-    as ISI. psi = 0 gives the exact stack of the TR beams' single-tier
-    coupling (power.build_femto_lp of it), so solve_robust of that stack
-    is the non-robust femto design.
+    as ISI. psi = 0 gives the TR beams' exact single-tier Coupling, so
+    solve_robust of it is the non-robust femto design.
     """
     psi = _check_psi(psi)
     if variant not in _VARIANTS:
@@ -145,19 +144,16 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     h = channels_est.h1
     g = np.asarray(g_hat, dtype=complex)
     if psi == 0.0:
-        femto = Coupling(0, *coupling_terms(g, h, channels_est.taps))
-        return coupling_stack(femto)
+        return Coupling.from_energy(*coupling_terms(g, h, channels_est.taps))
     energy, isi, floor = _ball_bounds(g, h, psi)
-    pl = np.diagonal(floor).copy()
+    pl = np.diagonal(floor)
     if variant == "proposed":
-        ceiling = energy
-        pu_isi = np.diagonal(isi).copy()
+        ceiling, pu_isi = energy, np.diagonal(isi)
     else:
         ceiling = _young(g, h, psi)
         pu_isi = np.diagonal(ceiling) - pl
-    pu_co = ceiling.copy()
-    np.fill_diagonal(pu_co, 0.0)
-    return FixedPoint(pl_sig_coeff=pl, pu_isi_coeff=pu_isi, pu_co_coeff=pu_co)
+    np.fill_diagonal(ceiling, 0.0)
+    return Coupling(pl, pu_isi, ceiling)
 
 
 def solve_robust(bounds, gamma_f, p_tol, noise):

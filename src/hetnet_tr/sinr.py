@@ -8,7 +8,8 @@ response norm.
 
 All of those norms, and each user's power at its sampling tap, come from
 one Coupling per realization: the combined response of every beam at
-every victim, reduced once to a response energy and a sampled power.
+every victim, reduced once to the per-unit-power signal, ISI and
+co-channel coefficients that every SINR and every power design reads.
 """
 
 from dataclasses import dataclass
@@ -51,23 +52,48 @@ def coupling_terms(filters, cirs, taps, first=0):
 
 @dataclass(frozen=True)
 class Coupling:
-    """Per-unit-power coupling of one realization's R beams with R victims.
+    """Per-unit-power SINR coefficients of R beams at their R victims.
 
     Beam v serves victim v, and the first n0 of each are the MUs (ZF
-    beams), the rest the FUs (TR beams). energy[v, k] is beam k's response
-    energy at victim v; signal[v] is beam v's power at its own victim's
-    sampling tap. couple builds it for both tiers; one tier alone is
-    Coupling(0, *coupling_terms(filters, cirs, taps)). The power layer
-    reads the beams through it alone.
+    beams), the rest the FUs (TR beams). pl_sig_coeff[v] is the power a
+    unit of p_v puts at victim v's sampling tap, pu_isi_coeff[v] the rest
+    of beam v's response energy there, and pu_co_coeff[v, k] the energy of
+    beam k at victim v (zero diagonal). Victim v meets its target gamma_v
+    when p_v pl_sig_coeff[v] >= gamma_v (p_v pu_isi_coeff[v]
+    + (pu_co_coeff p)[v] + z_v), free of any target here. Exact channels
+    give the coefficients themselves (from_energy; couple builds both
+    tiers), the robust design floors and ceilings on them
+    (robust.assemble_bounds). A Coupling owns its three arrays and makes
+    them read-only when built, so blocks of them can be handed out as
+    views. The power layer reads the beams through a Coupling alone.
     """
 
-    n0: int
-    energy: np.ndarray
-    signal: np.ndarray
+    pl_sig_coeff: np.ndarray
+    pu_isi_coeff: np.ndarray
+    pu_co_coeff: np.ndarray
+    n0: int = 0
+
+    def __post_init__(self):
+        for coeff in (self.pl_sig_coeff, self.pu_isi_coeff, self.pu_co_coeff):
+            coeff.flags.writeable = False
+
+    @classmethod
+    def from_energy(cls, energy, signal, n0=0):
+        """Coupling of response energies energy (R, R) and signal (R,).
+
+        energy[v, k] is beam k's response energy at victim v and signal[v]
+        beam v's power at its own victim's sampling tap
+        (coupling_terms); the ISI is the rest of the diagonal. energy is
+        copied, and signal becomes the Coupling's own array.
+        """
+        co = np.array(energy, dtype=float)
+        isi = np.diagonal(co) - signal
+        np.fill_diagonal(co, 0.0)
+        return cls(signal, isi, co, n0)
 
     @property
     def n1(self):
-        return self.energy.shape[0] - self.n0
+        return self.pl_sig_coeff.size - self.n0
 
     @property
     def macro(self):
@@ -77,7 +103,7 @@ class Coupling:
     @property
     def femto(self):
         """Rows and columns of the FUs and their TR beams."""
-        return slice(self.n0, self.energy.shape[0])
+        return slice(self.n0, self.pl_sig_coeff.size)
 
     def breakdown(self, v, p0, p1, noise_power, cross_override=None):
         """Power components at victim v (MUs then FUs).
@@ -88,18 +114,16 @@ class Coupling:
         """
         mu = v < self.n0
         own, own_p = (self.macro, p0) if mu else (self.femto, p1)
-        row = self.energy[v]
-        k = v - own.start
-        main = own_p[k] * self.signal[v]
-        isi = own_p[k] * row[v] - main
-        same = own_p * row[own]
-        same[k] = 0.0
+        row = self.pu_co_coeff[v]
+        p = own_p[v - own.start]
         if cross_override is not None:
             cross = float(cross_override)
         else:
             other, other_p = (self.femto, p1) if mu else (self.macro, p0)
             cross = np.sum(other_p * row[other])
-        return PowerBreakdown(sig=main, isi=isi, co=np.sum(same), cross=cross,
+        return PowerBreakdown(sig=p * self.pl_sig_coeff[v],
+                              isi=p * self.pu_isi_coeff[v],
+                              co=np.sum(own_p * row[own]), cross=cross,
                               noise=noise_power)
 
 
@@ -110,18 +134,17 @@ def victim_sinrs(coupling, powers, noise, cross_override=None):
     own tier add co-tier interference, the others cross-tier interference;
     cross_override, when given, replaces the cross-tier term at every FU.
     """
-    energy, n0 = coupling.energy, coupling.n0
+    n0 = coupling.n0
     p = np.asarray(powers, dtype=float)
-    weighted = energy * p
-    np.fill_diagonal(weighted, 0.0)
+    weighted = coupling.pu_co_coeff * p
     fu = np.arange(p.size) >= n0
     same = fu[:, None] == fu[None, :]
     co = np.where(same, weighted, 0.0).sum(axis=1)
     cross = np.where(same, 0.0, weighted).sum(axis=1)
     if cross_override is not None:
         cross[n0:] = cross_override
-    isi = p * (np.diagonal(energy) - coupling.signal)
-    return p * coupling.signal / (isi + co + cross + noise)
+    isi = p * coupling.pu_isi_coeff
+    return p * coupling.pl_sig_coeff / (isi + co + cross + noise)
 
 
 def couple(channels, beams):
@@ -133,8 +156,8 @@ def couple(channels, beams):
     femto = coupling_terms(
         beams.g, np.concatenate([channels.h10, channels.h1], axis=1),
         beams.beta, first=n0)
-    return Coupling(n0, np.hstack([macro[0], femto[0]]),
-                    np.concatenate([macro[1], femto[1]]))
+    return Coupling.from_energy(np.hstack([macro[0], femto[0]]),
+                                np.concatenate([macro[1], femto[1]]), n0)
 
 
 def mu_breakdown(channels, beams, p0, p1, n, noise_power):
@@ -152,7 +175,8 @@ def fu_breakdown(channels, beams, p0, p1, j, noise_power,
     read.
     """
     if cross_override is not None:
-        femto = Coupling(0, *coupling_terms(beams.g, channels.h1, beams.beta))
+        femto = Coupling.from_energy(
+            *coupling_terms(beams.g, channels.h1, beams.beta))
         return femto.breakdown(j, p0, p1, noise_power, cross_override)
     if p0 is None:
         raise ValueError("need macro powers or an explicit cross override")

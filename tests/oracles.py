@@ -238,20 +238,20 @@ def leakage_weights(coupling):
     coupling must hold the TR beams; a zero leakage vector is returned
     as is.
     """
-    leak = np.sum(coupling.energy[:coupling.n0, coupling.femto], axis=0)
+    leak = np.sum(coupling.pu_co_coeff[:coupling.n0, coupling.femto], axis=0)
     norm = float(np.linalg.norm(leak))
     return leak / norm if norm > 0.0 else leak
 
 
 def _target_diag(stack, gamma):
-    """d = gamma / (sig - gamma isi) of a FixedPoint, per user."""
+    """d = gamma / (sig - gamma isi) of a Coupling, per user."""
     sig = stack.pl_sig_coeff
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), sig.shape)
     return gamma / (sig - gamma * stack.pu_isi_coeff)
 
 
 def stack_system(stack, gamma, z):
-    """(F, v) of a FixedPoint at targets gamma and uncontrolled watts z.
+    """(F, v) of a Coupling at targets gamma and uncontrolled watts z.
 
     p_j sig_j >= gamma_j (p_j isi_j + (co p)_j + z_j) rearranges to
     p >= F p + v with F = d co and v = d z (_target_diag), the form

@@ -23,7 +23,6 @@ from hetnet_tr.harness import (
     run_experiment,
 )
 from hetnet_tr.power import (
-    coupling_stack,
     macro_coefficients,
     solve_centralized,
     solve_proposed,
@@ -452,7 +451,7 @@ class TestRunExperiment:
         _, _, caps = macro_coefficients(coupling, prop.cross_report,
                                         cfg.noise_power)
         assert prop.p0[0] * caps[0].max() <= cfg.p_tol
-        F, _ = stack_system(coupling_stack(coupling),
+        F, _ = stack_system(coupling,
                             np.repeat([gm, gf], [coupling.n0, coupling.n1]),
                             cfg.noise_power)
         rho = float(np.max(np.abs(np.linalg.eigvals(F))))

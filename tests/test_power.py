@@ -1,5 +1,7 @@
 """Power tests: femto fixed point, macro closed form, centralized stack."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,9 +14,7 @@ from hetnet_tr.channel import ChannelSet
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.power import (
     AllocationResult,
-    FixedPoint,
     build_femto_lp,
-    coupling_stack,
     cross_report,
     macro_coefficients,
     macro_powers,
@@ -72,7 +72,7 @@ class TestBuildFemtoLp:
         lp = build_femto_lp(coupling)
         assert lp.pl_sig_coeff - 1.5 * lp.pu_isi_coeff == pytest.approx(4.0)
         assert lp.pu_isi_coeff == pytest.approx(0.0, abs=1e-15)
-        assert coupling.energy[:coupling.n0, coupling.femto].sum() == \
+        assert coupling.pu_co_coeff[:coupling.n0, coupling.femto].sum() == \
             pytest.approx(2.0)
         assert leakage_weights(coupling) == pytest.approx(1.0)
         assert lp.pu_co_coeff.shape == (1, 1) and lp.pu_co_coeff[0, 0] == 0.0
@@ -86,13 +86,33 @@ class TestBuildFemtoLp:
         assert np.all(np.diag(lp.pu_co_coeff) == 0.0)
         assert np.all(lp.pu_co_coeff >= 0.0)
         assert np.all(lp.pl_sig_coeff - cfg.gamma_f * lp.pu_isi_coeff > 0.0)
-        # the FU block of the coupling, target-free
-        fu = coupling.femto
-        np.testing.assert_array_equal(lp.pl_sig_coeff, coupling.signal[fu])
+        # the FU block of the TR beams' response energies, target-free
+        energy, signal = coupling_terms(
+            beams.g, np.concatenate([ch.h10, ch.h1], axis=1), beams.beta,
+            first=coupling.n0)
+        fu = energy[coupling.femto]
+        np.testing.assert_array_equal(lp.pl_sig_coeff, signal)
         np.testing.assert_array_equal(
-            lp.pl_sig_coeff + lp.pu_isi_coeff, np.diagonal(coupling.energy)[fu])
-        off = coupling.energy[fu, fu] * (1.0 - np.eye(3))
+            lp.pl_sig_coeff + lp.pu_isi_coeff, np.diagonal(fu))
+        off = fu * (1.0 - np.eye(3))
         np.testing.assert_array_equal(lp.pu_co_coeff, off)
+
+    def test_coefficients_are_read_only(self):
+        """Every sweep point shares the trial's coupling and views of it, so
+        no coefficient array can be written."""
+        cfg, geo, ch, beams = designed_scenario(seed=73)
+        coupling = couple(ch, beams)
+        stacks = [coupling, build_femto_lp(coupling)] + [
+            assemble_bounds(ch, beams.g, psi, cfg.p_tol, cfg.noise_power,
+                            variant=variant)
+            for psi in (0.0, 0.04) for variant in ("proposed", "young")]
+        for stack in stacks:
+            for arr in (stack.pl_sig_coeff, stack.pu_isi_coeff,
+                        stack.pu_co_coeff):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+                with pytest.raises(ValueError):
+                    arr *= 2.0
 
     def test_unreachable_target_raises(self):
         """A target beyond the signal-to-self-interference ratio has no power."""
@@ -145,8 +165,8 @@ class TestSolveFemto:
         """Radius 2: the solve has no positive fixed point and says so."""
         b = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert np.max(np.abs(np.linalg.eigvals(b))) == pytest.approx(2.0)
-        lp = FixedPoint(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
-                        pu_co_coeff=b)
+        lp = Coupling(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
+                      pu_co_coeff=b)
         with pytest.raises(InfeasibleError) as exc:
             solve_femto(lp, 1.0, 1e-4, 0.0)
         assert exc.value.stage == "femto"
@@ -179,8 +199,8 @@ class TestFixedPointCertificate:
         assume(abs(rho - 1.0) > 1e-9)
         try:
             # unit targets, no ISI: d = 1, so the solve is (I - F) p = v
-            stack = FixedPoint(pl_sig_coeff=np.ones_like(v),
-                               pu_isi_coeff=np.zeros_like(v), pu_co_coeff=F)
+            stack = Coupling(pl_sig_coeff=np.ones_like(v),
+                             pu_isi_coeff=np.zeros_like(v), pu_co_coeff=F)
             p = solve_fixed_point(stack, 1.0, v, "femto")
         except InfeasibleError as exc:
             assert exc.stage == "femto"
@@ -195,8 +215,8 @@ class TestFixedPointCertificate:
                 1e-10 / (1.0 - rho) * np.linalg.norm(ref))
 
     def test_robust_stage_tag(self):
-        b = FixedPoint(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
-                       pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        b = Coupling(pl_sig_coeff=np.ones(2), pu_isi_coeff=np.zeros(2),
+                     pu_co_coeff=np.array([[0.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(InfeasibleError) as exc:
             solve_robust(b, 1.0, 1e-4, 1e-12)
         assert exc.value.stage == "robust"
@@ -204,8 +224,8 @@ class TestFixedPointCertificate:
 
     def test_centralized_stage_tag(self):
         """Two users whose stacked coupling has radius 2 at unit targets."""
-        coupling = Coupling(n0=1, energy=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                            signal=np.ones(2))
+        coupling = Coupling.from_energy(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                        np.ones(2), n0=1)
         with pytest.raises(InfeasibleError) as exc:
             solve_centralized(coupling, 1.0, 1.0, 1e-12)
         assert exc.value.stage == "centralized"
@@ -213,10 +233,8 @@ class TestFixedPointCertificate:
 
 
 def _as_coupling(stack, n0):
-    """A Coupling whose whole-coupling stack is the given FixedPoint."""
-    sig = stack.pl_sig_coeff
-    return Coupling(n0, stack.pu_co_coeff + np.diag(sig + stack.pu_isi_coeff),
-                    sig)
+    """The given single-tier Coupling with its first n0 users as MUs."""
+    return replace(stack, n0=n0)
 
 
 # each design's solve of one stack at unit targets, by its stage tag
@@ -239,7 +257,8 @@ class TestSharedSolve:
         compared = 0
         for seed in (31, 32, 33):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=3)
-            alone = Coupling(0, *coupling_terms(beams.g, ch.h1, ch.taps))
+            alone = Coupling.from_energy(
+                *coupling_terms(beams.g, ch.h1, ch.taps))
             for gf in (10.0 ** -1.0, 10.0 ** -0.6, cfg.gamma_f):
                 try:
                     femto = solve_femto(build_femto_lp(alone), gf, 0.0,
@@ -261,7 +280,8 @@ class TestSharedSolve:
         beams' single-tier coupling, bit for bit."""
         for seed in (0, 1, 2):
             cfg, geo, ch, beams = designed_scenario(seed=seed, n1=2)
-            alone = Coupling(0, *coupling_terms(beams.g, ch.h1, ch.taps))
+            alone = Coupling.from_energy(
+                *coupling_terms(beams.g, ch.h1, ch.taps))
             want = solve_femto(build_femto_lp(alone), cfg.gamma_f, cfg.p_tol,
                                cfg.noise_power)
             stack = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol,
@@ -277,9 +297,9 @@ class TestSharedSolve:
     ])
     def test_unmet_targets_raise_the_callers_stage(self, stage, isi, co,
                                                    cause):
-        stack = FixedPoint(pl_sig_coeff=np.ones(2),
-                           pu_isi_coeff=np.full(2, isi),
-                           pu_co_coeff=np.array([[0.0, co], [co, 0.0]]))
+        stack = Coupling(pl_sig_coeff=np.ones(2),
+                         pu_isi_coeff=np.full(2, isi),
+                         pu_co_coeff=np.array([[0.0, co], [co, 0.0]]))
         with pytest.raises(InfeasibleError) as exc:
             _STAGE_SOLVES[stage](stack)
         assert exc.value.stage == stage
@@ -326,8 +346,8 @@ class TestDisplayForm:
         d = 1.0 / sig  # unit targets, no ISI
         z = np.full(n, 1e-4)
         eta = np.full(n, 1.0 / np.sqrt(n))
-        lp = FixedPoint(pl_sig_coeff=sig, pu_isi_coeff=np.zeros(n),
-                        pu_co_coeff=b)
+        lp = Coupling(pl_sig_coeff=sig, pu_isi_coeff=np.zeros(n),
+                      pu_co_coeff=b)
         direct = np.linalg.solve(np.eye(n) - d[:, None] * b, d * z)
         np.testing.assert_allclose(weight_factored_powers(lp, 1.0, z, eta),
                                    direct * np.sqrt(n), rtol=1e-8)
@@ -519,7 +539,7 @@ class TestSolveCentralized:
         coupling = couple(ch, beams)
         gamma = np.repeat([cfg.gamma_m, cfg.gamma_f],
                           [coupling.n0, coupling.n1])
-        F, v = stack_system(coupling_stack(coupling), gamma, cfg.noise_power)
+        F, v = stack_system(coupling, gamma, cfg.noise_power)
         res = solve_centralized(coupling, cfg.gamma_m, cfg.gamma_f,
                                 cfg.noise_power)
         np.testing.assert_allclose(np.concatenate([res.p0, res.p1]),

@@ -13,12 +13,7 @@ from hetnet_tr.channel import ChannelSet, ScenarioConfig
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import _run_trial
 from hetnet_tr.linops import toeplitz_conv_matrix
-from hetnet_tr.power import (
-    FixedPoint,
-    build_femto_lp,
-    coupling_stack,
-    solve_femto,
-)
+from hetnet_tr.power import build_femto_lp, solve_femto
 from hetnet_tr.robust import (
     WorstCaseExtrema,
     _project_errors,
@@ -190,7 +185,7 @@ class TestAssembleBounds:
         """Coefficient stack is complete, nonnegative, with a zero co diagonal."""
         cfg, geo, ch, beams = designed_scenario(seed=0, n1=2)
         b = assemble_bounds(ch, beams.g, PSI, cfg.p_tol, cfg.noise_power)
-        assert type(b) is FixedPoint
+        assert type(b) is Coupling
         assert b.pl_sig_coeff.shape == (2,) and b.pu_isi_coeff.shape == (2,)
         assert b.pu_co_coeff.shape == (2, 2)
         for arr in (b.pl_sig_coeff, b.pu_isi_coeff, b.pu_co_coeff):
@@ -202,7 +197,7 @@ class TestAssembleBounds:
         cfg, geo, ch, beams = designed_scenario(seed=1, n1=2)
         b = assemble_bounds(ch, beams.g, 0.0, cfg.p_tol, cfg.noise_power)
         ref = build_femto_lp(couple(ch, beams))
-        assert type(b) is FixedPoint
+        assert type(b) is Coupling
         sig, isi, co = ref.pl_sig_coeff, ref.pu_isi_coeff, ref.pu_co_coeff
         assert np.array_equal(b.pl_sig_coeff, sig)
         assert np.array_equal(b.pu_isi_coeff, isi)
@@ -300,9 +295,9 @@ class TestSolveRobust:
 
     def test_unreachable_floor_reports_robust_stage(self):
         """A floor below the scaled ceiling raises with the robust stage tag."""
-        b = FixedPoint(pl_sig_coeff=np.array([1.0]),
-                       pu_isi_coeff=np.array([2.0]),
-                       pu_co_coeff=np.zeros((1, 1)))
+        b = Coupling(pl_sig_coeff=np.array([1.0]),
+                     pu_isi_coeff=np.array([2.0]),
+                     pu_co_coeff=np.zeros((1, 1)))
         with pytest.raises(InfeasibleError) as err:
             solve_robust(b, 1.0, 1e-4, 1e-12)
         assert err.value.stage == "robust"
@@ -434,12 +429,13 @@ class TestBallProperties:
         for bit when n1 >= 2, while one FU's single victim row takes
         numpy's matrix-vector product instead of the matrix product."""
         ch, g, _ = random_link_set(seed, m, n0, n1, taps)
-        alone = Coupling(0, *coupling_terms(g, ch.h1, ch.taps))
-        ref = coupling_stack(alone)
+        ref = Coupling.from_energy(*coupling_terms(g, ch.h1, ch.taps))
         sig, isi, co = ref.pl_sig_coeff, ref.pu_isi_coeff, ref.pu_co_coeff
         coupling = tr_coupling(ch, g, ch.taps)
         full = build_femto_lp(coupling)
-        scale = float(np.max(coupling.energy))
+        scale = float(max(np.max(coupling.pu_co_coeff),
+                          np.max(coupling.pl_sig_coeff
+                                 + coupling.pu_isi_coeff)))
         for got, want in zip((sig, isi, co), (full.pl_sig_coeff,
                                               full.pu_isi_coeff,
                                               full.pu_co_coeff)):

@@ -197,7 +197,8 @@ class TestVictimSinrs:
         """n0 = 0: one tier's own coupling against a fixed cross term."""
         cfg, _, ch, beams = designed_scenario(216, n1=3)
         p1 = np.array([0.2, 0.5, 0.9])
-        femto = Coupling(0, *coupling_terms(beams.g, ch.h1, beams.beta))
+        femto = Coupling.from_energy(
+            *coupling_terms(beams.g, ch.h1, beams.beta))
         got = victim_sinrs(femto, p1, cfg.noise_power,
                            cross_override=cfg.p_tol)
         full = couple(ch, beams)
