@@ -236,29 +236,34 @@ def place_nodes(config, rng):
                     d_mbs_fbs=config.d_mbs_fbs)
 
 
-def draw_cir(profile, distance, exponent, L, rng):
-    """One CIR draw: tap l is CN(0, sigma_l^2 / distance^exponent).
+def draw_cirs(profile, distances, exponent, L, n_tx, rng):
+    """CIRs from n_tx antennas to users at distances: (n_tx, users, L).
 
-    sigma_l^2 is the profile's relative linear power; profiles shorter than
-    L are zero-padded, and taps are mutually independent.
+    Tap l at distance d is CN(0, sigma_l^2 / d^exponent), independent across
+    taps, sigma_l^2 the profile's relative linear power, zero-padded to L.
+    Every distance is checked, then one C-order standard normal block
+    (n_tx, users, 2, taps) is drawn: real taps, then imaginary taps.
     """
-    if distance <= 0.0:
-        raise ValueError(f"link distance must be positive, got {distance}")
-    if profile.n_taps > L:
-        raise ValueError(
-            f"profile '{profile.name}' has {profile.n_taps} taps, more than L={L}"
-        )
-    with np.errstate(over="ignore", divide="ignore"):
-        loss = np.float64(distance) ** exponent
-        var = profile.linear_powers / loss
-    if not (0.0 < loss < np.inf and np.isfinite(var).all()):
-        raise ConfigError(f"tap variance zero or not finite at {distance:g} "
-                          f"m with path-loss exponent {exponent:g}")
-    z = rng.standard_normal((2, profile.n_taps))
-    taps = np.sqrt(var / 2.0) * (z[0] + 1j * z[1])
-    if profile.n_taps < L:
-        taps = np.concatenate([taps, np.zeros(L - profile.n_taps, dtype=complex)])
-    return taps
+    powers = profile.linear_powers
+    n_users, n_taps = len(distances), profile.n_taps
+    var = np.empty((n_users, n_taps))
+    for i, distance in enumerate(distances):
+        if distance <= 0.0:
+            raise ValueError(f"link distance must be positive, got {distance}")
+        if n_taps > L:
+            raise ValueError(
+                f"profile '{profile.name}' has {n_taps} taps, more than L={L}")
+        # a scalar power: an array np.power may round the loss differently
+        with np.errstate(over="ignore", divide="ignore"):
+            loss = np.float64(distance) ** exponent
+            var[i] = powers / loss
+        if not (0.0 < loss < np.inf and np.isfinite(var[i]).all()):
+            raise ConfigError(f"tap variance zero or not finite at {distance:g} "
+                              f"m with path-loss exponent {exponent:g}")
+    z = rng.standard_normal((n_tx, n_users, 2, n_taps))
+    cirs = np.zeros((n_tx, n_users, L), dtype=complex)
+    cirs[..., :n_taps] = np.sqrt(var / 2.0) * (z[..., 0, :] + 1j * z[..., 1, :])
+    return cirs
 
 
 # profile key and pathloss-exponent attribute for each link group
@@ -271,24 +276,18 @@ _LINK_RULES = {
 
 
 def draw_channel_set(config, geometry, rng):
-    """Draw all four link groups for one placement.
+    """One draw_cirs block per link group, drawn h0, h1, h10, h01.
 
     Macro links use the Vehicular profile (exponent 4), femto links the
     Indoor Office profile (exponent 3), and both cross-tier groups the
     Outdoor-to-Indoor profile (exponent 3.5) at their own geometry.
     """
-    L = config.taps
+    def group(name, n_tx, distances):
+        key, exp_attr = _LINK_RULES[name]
+        return draw_cirs(get_profile(key), distances,
+                         getattr(config, exp_attr), config.taps, n_tx, rng)
 
-    def stack(group, n_tx, dists):
-        key, exp_attr = _LINK_RULES[group]
-        p, exp = get_profile(key), getattr(config, exp_attr)
-        return np.array([
-            [draw_cir(p, d, exp, L, rng) for d in dists]
-            for _ in range(n_tx)
-        ])
-
-    h0 = stack("h0", config.m0, geometry.d_0n)
-    h1 = stack("h1", config.m1, geometry.d_1j)
-    h10 = stack("h10", config.m1, geometry.d_10n)
-    h01 = stack("h01", config.m0, geometry.d_01j)
-    return ChannelSet(h0=h0, h1=h1, h10=h10, h01=h01)
+    return ChannelSet(h0=group("h0", config.m0, geometry.d_0n),
+                      h1=group("h1", config.m1, geometry.d_1j),
+                      h10=group("h10", config.m1, geometry.d_10n),
+                      h01=group("h01", config.m0, geometry.d_01j))

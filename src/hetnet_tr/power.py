@@ -75,7 +75,9 @@ def solve_fixed_point(stack, gamma, z, stage):
     and d = gamma/phi, the powers are the fixed point (I - d co) p = d z.
     Where phi is not positive no power meets the target; otherwise the
     fixed point exists exactly when the solve returns a finite, positive
-    p. Either failure, or a singular system, raises InfeasibleError(stage).
+    p. Either failure, a singular system, or a system whose coefficients
+    or noise-only powers d*z overflow a double raises
+    InfeasibleError(stage).
     """
     sig = stack.pl_sig_coeff
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), sig.shape)
@@ -85,13 +87,18 @@ def solve_fixed_point(stack, gamma, z, stage):
         raise InfeasibleError(
             stage, f"SINR target unreachable at any power for user {bad} "
             f"(phi={phi[bad]:.3e})")
-    d = gamma / phi
-    A = np.eye(sig.size) - d[:, None] * stack.pu_co_coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = gamma / phi
+        A = np.eye(sig.size) - d[:, None] * stack.pu_co_coeff
+        floor = d * z  # the power each user needs against z alone
     try:
-        p = np.linalg.solve(A, d * z)
+        p = np.linalg.solve(A, floor)
     except np.linalg.LinAlgError:
         p = None
     if p is None or not (np.isfinite(p).all() and (p > 0.0).all()):
+        if not (np.isfinite(floor).all() and np.isfinite(A).all()):
+            raise InfeasibleError(stage,
+                                  "the required power overflows a double")
         raise InfeasibleError(
             stage, "no positive fixed point: coupling spectral radius >= 1")
     return p
@@ -128,8 +135,10 @@ def macro_coefficients(coupling, cross_star, noise):
         raise InfeasibleError(
             "macro", f"zero main tap for user {int(np.argmin(s != 0.0))}")
     own_isi = np.maximum(coupling.pu_isi_coeff[mu], 0.0)
-    delta = (own_isi + co[:N0].sum(axis=0)) / s
-    nabla = (np.asarray(cross_star, dtype=float) + noise) / s
+    # an overflow is inf, which macro_powers reports infeasible
+    with np.errstate(over="ignore"):
+        delta = (own_isi + co[:N0].sum(axis=0)) / s
+        nabla = (np.asarray(cross_star, dtype=float) + noise) / s
     return delta, nabla, co[N0:].T
 
 
@@ -142,9 +151,9 @@ def macro_powers(delta, nabla, gamma, caps_i, p_tol):
 
     Returns (p, feasible), feasible a boolean mask shaped like p. Feasible
     entries carry gamma*nabla/(1 - gamma*delta). Infeasible ones, whose
-    SINR target is unreachable or whose demand exceeds the tightest cap,
-    carry the largest power that cap admits (inf when no finite cap
-    exists).
+    SINR target is unreachable or whose demand overflows a double or
+    exceeds the tightest cap, carry the largest power that cap admits
+    (inf when no finite cap exists).
     """
     delta = np.asarray(delta, dtype=float)
     nabla = np.asarray(nabla, dtype=float)
@@ -157,10 +166,10 @@ def macro_powers(delta, nabla, gamma, caps_i, p_tol):
     cap = np.where(caps_i > 0.0, p_tol / np.where(caps_i > 0.0, caps_i, 1.0),
                    np.inf).min(axis=-1, initial=np.inf)
     unreachable = gamma * delta >= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_min = np.where(unreachable, np.inf,
                          gamma * nabla / (1.0 - gamma * delta))
-    feasible = ~(unreachable | (p_min > cap * (1.0 + 1e-12)))
+    feasible = np.isfinite(p_min) & (p_min <= cap * (1.0 + 1e-12))
     return np.where(feasible, p_min, cap), feasible
 
 
@@ -180,11 +189,15 @@ def solve_macro(coupling, gamma_m, p_tol, cross_star, noise):
             raise InfeasibleError(
                 "macro", f"SINR target unreachable for user {n} "
                 f"(gamma*delta = {gamma[n] * delta[n]:.4f})")
+        with np.errstate(over="ignore"):
+            need = gamma[n] * nabla[n] / (1 - gamma[n] * delta[n])
+        if not np.isfinite(need):
+            raise InfeasibleError(
+                "macro", f"the required power of user {n} overflows a double")
         j = int(np.argmax(caps[n]))
         raise InfeasibleError(
-            "macro",
-            f"user {n} needs {gamma[n] * nabla[n] / (1 - gamma[n] * delta[n]):.3e} W "
-            f"but cap {j} limits it to {p[n]:.3e} W")
+            "macro", f"user {n} needs {need:.3e} W but cap {j} limits it to "
+            f"{p[n]:.3e} W")
     achieved = 1.0 / (delta + nabla / p)
     if (achieved < gamma * (1.0 - 1e-5)).any():
         raise NumericalError("macro solution violates an SINR constraint")

@@ -9,6 +9,10 @@ it does not share.
 The power oracles likewise avoid the solvers' arithmetic: the femto check
 iterates the fixed point to convergence, and the macro check evaluates the
 per-user closed form as nabla/(1/gamma - delta).
+
+The channel oracle is the per-link loop that channel.draw_cirs replaced:
+one generator call per (antenna, user) link, antenna outer, so it pins the
+order in which a trial consumes its random stream.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hetnet_tr.beamform import _ZF_RESIDUAL_TOL, _unflatten, tr_beamformer_cirs
-from hetnet_tr.errors import InfeasibleError, NumericalError
+from hetnet_tr.channel import ChannelSet, get_profile
+from hetnet_tr.errors import ConfigError, InfeasibleError, NumericalError
 from hetnet_tr.linops import pseudo_inverse
 
 PERTURB_MODES = ("worst_aligned", "worst_anti_aligned", "uniform_ball")
@@ -306,3 +311,47 @@ def perturb_cir(h_true, psi, mode, rng=None):
         radius = root * np.linalg.norm(h) * rng.random() ** (1.0 / (2 * dim))
         e = (radius * direction).reshape(h.shape)
     return h + e, e
+
+
+def draw_cir(profile, distance, exponent, L, rng):
+    """One CIR draw: tap l is CN(0, sigma_l^2 / distance^exponent)."""
+    if distance <= 0.0:
+        raise ValueError(f"link distance must be positive, got {distance}")
+    if profile.n_taps > L:
+        raise ValueError(
+            f"profile '{profile.name}' has {profile.n_taps} taps, more than L={L}"
+        )
+    with np.errstate(over="ignore", divide="ignore"):
+        loss = np.float64(distance) ** exponent
+        var = profile.linear_powers / loss
+    if not (0.0 < loss < np.inf and np.isfinite(var).all()):
+        raise ConfigError(f"tap variance zero or not finite at {distance:g} "
+                          f"m with path-loss exponent {exponent:g}")
+    z = rng.standard_normal((2, profile.n_taps))
+    taps = np.sqrt(var / 2.0) * (z[0] + 1j * z[1])
+    if profile.n_taps < L:
+        taps = np.concatenate([taps, np.zeros(L - profile.n_taps, dtype=complex)])
+    return taps
+
+
+# (group, profile, exponent field, antenna-count field, distance field),
+# in draw order
+_LINK_GROUPS = (
+    ("h0", "vehicular", "exp_macro", "m0", "d_0n"),
+    ("h1", "indoor_office", "exp_femto", "m1", "d_1j"),
+    ("h10", "outdoor_to_indoor", "exp_cross", "m1", "d_10n"),
+    ("h01", "outdoor_to_indoor", "exp_cross", "m0", "d_01j"),
+)
+
+
+def draw_channel_set_loop(config, geometry, rng):
+    """All four link groups, one draw_cir call per (antenna, user) link."""
+    groups = {}
+    for name, key, exp_attr, tx_attr, dist_attr in _LINK_GROUPS:
+        profile, exp = get_profile(key), getattr(config, exp_attr)
+        groups[name] = np.array([
+            [draw_cir(profile, d, exp, config.taps, rng)
+             for d in getattr(geometry, dist_attr)]
+            for _ in range(getattr(config, tx_attr))
+        ])
+    return ChannelSet(**groups)

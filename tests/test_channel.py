@@ -8,14 +8,14 @@ from hetnet_tr.channel import (
     Geometry,
     ScenarioConfig,
     draw_channel_set,
-    draw_cir,
+    draw_cirs,
     get_profile,
     place_nodes,
 )
 from hetnet_tr.errors import ConfigError
 from hetnet_tr.robust import sample_true_channels
 
-from oracles import perturb_cir
+from oracles import draw_channel_set_loop, perturb_cir
 
 
 class TestProfileCatalog:
@@ -110,31 +110,34 @@ class TestDrawCir:
         """Sample variance per tap tracks the profile weight at unit distance."""
         prof = get_profile("indoor_office")
         rng = np.random.default_rng(4)
-        draws = np.array([draw_cir(prof, 1.0, 3.0, 6, rng) for _ in range(100_000)])
+        draws = draw_cirs(prof, [1.0], 3.0, 6, 100_000, rng)[:, 0]
         sample_var = np.mean(np.abs(draws) ** 2, axis=0)
         np.testing.assert_allclose(sample_var, prof.linear_powers, rtol=0.02)
 
     def test_pathloss_scaling(self):
         prof = get_profile("vehicular")
         rng = np.random.default_rng(5)
-        draws = np.array([draw_cir(prof, 10.0, 4.0, 6, rng) for _ in range(20_000)])
+        draws = draw_cirs(prof, [10.0], 4.0, 6, 20_000, rng)[:, 0]
         sample_var = np.mean(np.abs(draws) ** 2, axis=0)
         np.testing.assert_allclose(sample_var, prof.linear_powers / 1e4, rtol=0.05)
 
     def test_short_profile_zero_padded(self):
         rng = np.random.default_rng(6)
-        taps = draw_cir(get_profile("outdoor_to_indoor"), 80.0, 3.5, 6, rng)
+        taps = draw_cirs(get_profile("outdoor_to_indoor"), [80.0], 3.5, 6, 1,
+                         rng)[0, 0]
         assert taps.shape == (6,)
         assert taps[4] == 0 and taps[5] == 0
         assert np.abs(taps[:4]).min() > 0
 
     def test_bad_distance(self):
-        with pytest.raises(ValueError):
-            draw_cir(get_profile("vehicular"), 0.0, 4.0, 6, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"got 0\.0"):
+            draw_cirs(get_profile("vehicular"), [10.0, 0.0], 4.0, 6, 1,
+                      np.random.default_rng(0))
 
     def test_profile_longer_than_l(self):
         with pytest.raises(ValueError):
-            draw_cir(get_profile("vehicular"), 10.0, 4.0, 3, np.random.default_rng(0))
+            draw_cirs(get_profile("vehicular"), [10.0], 4.0, 3, 1,
+                      np.random.default_rng(0))
 
 
 class TestDrawChannelSet:
@@ -163,6 +166,61 @@ class TestDrawChannelSet:
         b = self._draw(9)
         for name in ("h0", "h1", "h10", "h01"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"n1": 1}, {"m0": 2, "n0": 1}, {"m0": 2, "n0": 1, "n1": 3, "m1": 1},
+        {"taps": 9}], ids=["default", "n1=1", "m0=2,n0=1", "m0=2,n0=1,n1=3,m1=1",
+                            "taps=9"])
+    def test_matches_per_link_loop(self, overrides):
+        """Every CIR equals the per-link loop's bit for bit, and the
+        generator ends in the same state: both read the stream in one
+        order."""
+        cfg = ScenarioConfig(**overrides).validate()
+        for seed in range(20):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            geo = place_nodes(cfg, rng)
+            place_nodes(cfg, ref_rng)
+            ch = draw_channel_set(cfg, geo, rng)
+            ref = draw_channel_set_loop(cfg, geo, ref_rng)
+            for name in ("h0", "h1", "h10", "h01"):
+                assert getattr(ch, name).tobytes() == getattr(ref, name).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_generator_call_per_link_group(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.shapes = rng, []
+
+            def standard_normal(self, shape):
+                self.shapes.append(shape)
+                return self.rng.standard_normal(shape)
+
+        cfg = ScenarioConfig(n1=3).validate()
+        rng = Counting(np.random.default_rng(0))
+        draw_channel_set(cfg, place_nodes(cfg, rng.rng), rng)
+        assert rng.shapes == [(4, 2, 2, 6), (4, 3, 2, 6), (4, 2, 2, 4),
+                              (4, 3, 2, 4)]
+
+    @pytest.mark.parametrize("overrides, distances", [
+        ({}, {"d_0n": [5.0, 0.0]}),
+        ({"taps": 3}, {"d_0n": [0.0, 5.0]}),
+        ({"taps": 3}, {"d_0n": [5.0, 0.0]}),
+        ({"exp_macro": 200.0}, {"d_0n": [5.0, 100.0, 0.0]}),
+        ({"exp_cross": 400.0}, {"d_10n": [0.0], "d_01j": [100.0]}),
+    ], ids=["zero-second", "zero-before-short-L", "short-L-before-zero",
+            "overflow-before-zero", "h10-before-h01"])
+    def test_errors_match_per_link_loop(self, overrides, distances):
+        """The first bad link the loop met is the one reported, with its
+        error type and message."""
+        cfg = ScenarioConfig(**overrides)
+        geo = Geometry(**{key: np.asarray(distances.get(key, [10.0]))
+                          for key in ("d_0n", "d_1j", "d_01j", "d_10n")})
+        with pytest.raises(ValueError) as ref:
+            draw_channel_set_loop(cfg, geo, np.random.default_rng(0))
+        with pytest.raises(ValueError) as got:
+            draw_channel_set(cfg, geo, np.random.default_rng(0))
+        assert (type(got.value), str(got.value)) == (type(ref.value),
+                                                     str(ref.value))
 
 
 class TestPerturbCir:

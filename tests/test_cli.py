@@ -1,5 +1,6 @@
 """Command line tests: exit codes and output files."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,27 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.count(message) == 2
         assert "inf m" not in err
+
+    @pytest.mark.parametrize("noise, stage", [("1e305", "femto"),
+                                              ("1e300", "macro")])
+    def test_overflowing_power_exits_3(self, tmp_path, capsys, noise, stage):
+        """A power requirement beyond double precision is infeasible as
+        such, with no numpy warning, no inf power and no spectral-radius
+        reason; a run over the same config reports nothing else."""
+        big = tmp_path / "noise.ini"
+        big.write_text(f"[scenario]\nnoise_power = {noise}\n",
+                       encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["validate", "--config", str(big)]) == 3
+            assert main(["run", "--experiment", "power-compare",
+                         "--config", str(big),
+                         "--out", str(tmp_path / "r.csv"), "--trials", "1"]) == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and "overflows a double" in err
+        for wrong in ("RuntimeWarning", "inf W", "spectral radius"):
+            assert wrong not in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2

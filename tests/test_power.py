@@ -441,6 +441,15 @@ class TestMacroDualSolve:
         np.testing.assert_array_equal(feas, ref.feasible)
         assert p[0] == pytest.approx(1e-4 / 0.1)
 
+    def test_overflowing_demand_flagged(self):
+        """A demand beyond double precision is infeasible even with no
+        finite cap to exceed, and raises no overflow warning."""
+        p, feas = macro_powers(np.array([0.5, 0.1]), np.array([1e308, 1e-9]),
+                               np.array([1.5, 1.0]), np.zeros((2, 0)), 1e-4)
+        np.testing.assert_array_equal(feas, np.array([False, True]))
+        assert p[0] == np.inf
+        assert p[1] == pytest.approx(1e-9 / 0.9, rel=1e-12)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             macro_powers(np.array([-0.1]), np.ones(1), np.ones(1),
