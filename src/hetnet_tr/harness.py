@@ -400,6 +400,19 @@ def _worker_count():
     return min(n, os.cpu_count() or 1)
 
 
+def _mean(cells):
+    """np.mean of a summary column, nan when empty; where the sum of finite
+    cells overflows, each cell is divided by the count before adding."""
+    if not cells:
+        return float("nan")
+    cells = np.asarray(cells)
+    with np.errstate(over="ignore"):
+        mean = np.mean(cells)
+    if np.isinf(mean) and np.isfinite(cells).all():
+        mean = np.sum(cells / cells.size)
+    return float(mean)
+
+
 def _emit_csv(path, name, points, rows):
     """Trial rows then per-point summary rows; floats via repr for exactness.
 
@@ -427,10 +440,7 @@ def _emit_csv(path, name, points, rows):
         cells = ["summary", "-1"]
         cells += [repr(float(pt[k])) for k in sweep_keys]
         for k in value_keys:
-            if feas:
-                mean = float(np.mean([dict(r.values)[k] for r in feas]))
-            else:
-                mean = float("nan")
+            mean = _mean([dict(r.values)[k] for r in feas])
             cells.append(repr(mean))
         rate = len(feas) / len(group) if group else float("nan")
         cells.append(repr(float(rate)))

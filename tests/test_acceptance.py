@@ -275,8 +275,7 @@ def test_interference_bound_ordering(capsys):
             if young < prop * (1.0 - 1e-12):
                 exceptions += 1
             gaps.append(10.0 * math.log10(young / prop))
-            wc = worst_case_oracle(g, h, psi, n_probes=1000, n_ascent=50,
-                                   rng=rng)
+            wc = worst_case_oracle(g, h, psi, rng=rng)
             if wc.max_energy > prop * (1.0 + 1e-9):
                 oracle_violations += 1
     median_gap = float(np.median(gaps))
@@ -382,8 +381,7 @@ def test_signal_floor_probe_equality(capsys):
         attained = abs(resp[cfg.taps - 1]) ** 2
         worst = max(worst, abs(attained - floor) / floor)
         if i < 100:
-            wc = worst_case_oracle(g, h, psi, n_probes=500, n_ascent=30,
-                                   rng=rng)
+            wc = worst_case_oracle(g, h, psi, rng=rng)
             ratios.append(wc.min_central / floor)
     ok = worst <= 1e-10
     line = emit(capsys, ok, "signal floor probe equality",

@@ -1,5 +1,7 @@
 """Command line tests: exit codes and output files."""
 
+import csv
+import math
 import warnings
 from pathlib import Path
 
@@ -134,6 +136,33 @@ class TestValidateCommand:
         assert f"stage '{stage}'" in err and "overflows a double" in err
         for wrong in ("RuntimeWarning", "inf W", "spectral radius"):
             assert wrong not in err
+
+    @pytest.mark.parametrize("experiment, body, trials", [
+        ("robust-power", "[scenario]\nnoise_power = 3e304\n", "4"),
+        ("fu-outage", "[scenario]\nnoise_power = 1e305\n"
+                      "[experiment]\nerror_draws = 200\n", "2")],
+        ids=["robust-power", "fu-outage"])
+    def test_overflowing_total_power_is_unsolved(self, tmp_path, monkeypatch,
+                                                 experiment, body, trials):
+        """A design whose powers fit in a double but whose total does not
+        counts as unsolved: no numpy warning, no inf cell, and no flag of 1
+        beside a power or outage that is not finite."""
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        big = tmp_path / "noise.ini"
+        big.write_text(body, encoding="utf-8")
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--experiment", experiment,
+                         "--config", str(big), "--out", str(out),
+                         "--trials", trials]) == 3
+        text = out.read_text(encoding="utf-8")
+        assert "inf" not in text
+        for row in csv.DictReader(text.splitlines()):
+            for k in harness._DESIGNS:
+                if row[f"feas_{k}"] == "1.0":
+                    assert math.isfinite(float(row[f"power_{k}_w"]))
+                    assert math.isfinite(float(row.get(f"outage_{k}", 0)))
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2

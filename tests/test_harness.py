@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,28 @@ class TestWorkerCount:
         monkeypatch.setenv("HETNET_TR_THREADS", "0")
         with pytest.raises(ConfigError):
             _worker_count()
+
+
+class TestSummaryMean:
+    def test_finite_cells_never_average_to_inf(self, tmp_path):
+        """A column of finite cells whose sum overflows averages to a
+        finite mean, with no overflow warning; a column whose plain mean is
+        finite keeps its bytes."""
+        big, ordinary = [1.5e308, 1.2e308], [0.1, 0.2]
+        rows = [harness.TrialRecord(
+            trial=t, sweep=(("gamma_m_db", 0.0), ("gamma_f_db", 0.0)),
+            values=(("power_proposed_w", big[t]),
+                    ("power_centralized_w", ordinary[t])), feasible=True)
+            for t in range(2)]
+        path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            harness._emit_csv(str(path), "power-compare",
+                              [{"gamma_m_db": 0.0, "gamma_f_db": 0.0}], rows)
+        summary = read_csv(path)[1][-1]
+        assert summary["power_proposed_w"] == repr(1.35e308)
+        assert summary["power_centralized_w"] == repr(
+            float(np.mean(ordinary)))
 
 
 class TestRunExperiment:
