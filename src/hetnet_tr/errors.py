@@ -25,9 +25,9 @@ class InfeasibleError(RuntimeError):
 class NumericalError(RuntimeError):
     """Raised when a computed result fails its own check.
 
-    The simulator raises it only from solve_macro, when the closed-form
-    macro powers miss an SINR target or overrun an interference cap beyond
-    rounding. The linops helpers dominant_eigpair and spectral_radius,
-    which no experiment calls, raise it on a stalled power iteration or
-    non-finite entries.
+    The simulator raises it only from solve_macro, when the macro powers
+    miss an SINR target or overrun an interference cap beyond rounding.
+    The linops helpers dominant_eigpair and spectral_radius, which no
+    experiment calls, raise it on a stalled power iteration or non-finite
+    entries.
     """

@@ -35,12 +35,16 @@ def responses(filters, cirs):
     filters (M, K, L) and cirs (M, V, L) share the M transmit antennas;
     out[v, k] = sum_m convolve(filters[m, k], cirs[m, v]), as one product
     of the victims' stacked taps with the filters' convolution matrices.
+    A victim's row has the same bits whatever the number of victims.
     """
     M, K, L = filters.shape
+    V = cirs.shape[1]
     conv = toeplitz_conv_matrix(filters).transpose(0, 3, 1, 2).reshape(
         M * L, K * (2 * L - 1))
-    taps = np.moveaxis(cirs, 1, 0).reshape(-1, M * L)
-    return (taps @ conv).reshape(-1, K, 2 * L - 1)
+    taps = np.moveaxis(cirs, 1, 0).reshape(V, M * L)
+    if V == 1:  # numpy sums a lone row in another order than a stack's rows
+        taps = np.repeat(taps, 2, axis=0)
+    return (taps @ conv)[:V].reshape(V, K, 2 * L - 1)
 
 
 def pseudo_inverse(A):

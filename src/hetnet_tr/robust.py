@@ -37,14 +37,12 @@ projected gradient (Beck & Teboulle, SIAM J. Imaging Sci. 2009) for the
 minimum.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
 from .linops import responses, toeplitz_conv_matrix
-from .power import solve_fixed_point
+from .power import checked_total, solve_fixed_point
 from .sinr import Coupling, coupling_terms
 
 _VARIANTS = ("proposed", "young")
@@ -166,8 +164,7 @@ def solve_robust(bounds, gamma_f, p_tol, noise):
     fit in a double but their total does not.
     """
     p = solve_fixed_point(bounds, gamma_f, p_tol + noise, "robust")
-    if not math.isfinite(sum(p.tolist())):  # a float sum overflows silently
-        raise InfeasibleError("robust", "the total power overflows a double")
+    checked_total("robust", p)
     return p
 
 

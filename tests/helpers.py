@@ -4,7 +4,7 @@ import numpy as np
 
 from hetnet_tr.beamform import BeamformerSet, design_beamformers
 from hetnet_tr.channel import ScenarioConfig, draw_channel_set, place_nodes
-from hetnet_tr.sinr import couple
+from hetnet_tr.sinr import Coupling, couple
 
 
 def random_scenario(seed, n1=2, **cfg_kwargs):
@@ -36,3 +36,20 @@ def tr_coupling(channels, g, beta):
     silent = BeamformerSet(u=np.zeros_like(channels.h0),
                            alpha=np.ones(n0, dtype=int), g=g, beta=beta)
     return couple(channels, silent)
+
+
+def macro_coupling(delta, caps):
+    """Coupling whose MUs pose the per-user problems of macro_kkt_oracle.
+
+    MU n has main-tap power 1, own ISI delta[n] and no leakage onto the
+    other MUs; FU j's row holds caps[:, j], the interference a unit of each
+    MU's power causes there. solve_macro with cross_star = nabla and
+    noise = 0 then solves p >= gamma (delta p + nabla) under caps p <= p_tol.
+    """
+    caps = np.asarray(caps, dtype=float)
+    n0, n1 = caps.shape
+    co = np.zeros((n0 + n1, n0 + n1))
+    co[n0:, :n0] = caps.T
+    return Coupling(np.ones(n0 + n1),
+                    np.concatenate([np.asarray(delta, dtype=float),
+                                    np.zeros(n1)]), co, n0)

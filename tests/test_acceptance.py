@@ -23,9 +23,9 @@ from hetnet_tr.harness import (
 )
 from hetnet_tr.power import (
     build_femto_lp,
-    macro_powers,
     solve_centralized,
     solve_femto,
+    solve_macro,
     solve_proposed,
 )
 from hetnet_tr.robust import (
@@ -36,7 +36,7 @@ from hetnet_tr.robust import (
 )
 from hetnet_tr.sinr import couple, fu_breakdown, sinr
 
-from helpers import tr_coupling
+from helpers import macro_coupling, tr_coupling
 
 from oracles import (
     leakage_weights,
@@ -150,35 +150,41 @@ def test_femto_allocation_matches_fixed_point(capsys):
 
 
 def test_macro_allocation_matches_kkt(capsys):
-    """Batched macro solve vs the per-user KKT closed form."""
+    """solve_macro on crafted couplings vs the per-user KKT closed form.
+
+    Each coupling poses the oracle's problems (helpers.macro_coupling):
+    two MUs per coupling for the slack batch, one per coupling for the
+    binding batch, so its flags compare entry by entry.
+    """
     rng = np.random.default_rng(3001)
     n = 2
     gamma = 10 ** rng.uniform(-0.4, 0.4, (200, n))
     delta = rng.uniform(0.0, 0.8, (200, n)) / gamma
     nabla = 10 ** rng.uniform(-14, -8, (200, n))
     caps_i = rng.uniform(0.1, 1.0, (200, n, 3))
-    p, feas = macro_powers(delta, nabla, gamma, caps_i, p_tol=1.0)
+    p = np.array([solve_macro(macro_coupling(d, c), g, 1.0, nb, 0.0)[0]
+                  for d, nb, g, c in zip(delta, nabla, gamma, caps_i)])
     ref = macro_kkt_oracle(delta, nabla, gamma, 1.0 / caps_i.max(axis=-1))
-    slack_ok = bool(feas.all() and ref.feasible.all())
+    slack_ok = bool(ref.feasible.all())
     err_slack = float(np.max(np.abs(p - ref.p) / ref.p))
 
     # a second batch with caps low enough that many entries bind
     p_tol = 1e-9
-    p2, feas2 = macro_powers(delta, nabla, gamma, caps_i, p_tol)
     ref2 = macro_kkt_oracle(delta, nabla, gamma, p_tol / caps_i.max(axis=-1))
-    flags_agree = bool(np.array_equal(feas2, ref2.feasible))
-    binding = ~feas2
-    n_binding = int(np.count_nonzero(binding))
-    caps = p_tol / caps_i.max(axis=-1)
-    err_binding = float(np.max(np.abs(p2[binding] - caps[binding])
-                               / caps[binding])) if n_binding else 0.0
-    ok = (slack_ok and err_slack <= 1e-5 and flags_agree
-          and n_binding > 0 and err_binding <= 1e-8)
+    solved = np.ones((200, n), dtype=bool)
+    for i, k in np.ndindex(200, n):
+        try:
+            solve_macro(macro_coupling(delta[i, k:k + 1], caps_i[i, k:k + 1]),
+                        gamma[i, k], p_tol, nabla[i, k:k + 1], 0.0)
+        except InfeasibleError:
+            solved[i, k] = False
+    flags_agree = bool(np.array_equal(solved, ref2.feasible))
+    n_binding = int(np.count_nonzero(~solved))
+    ok = slack_ok and err_slack <= 1e-5 and flags_agree and n_binding > 0
     line = emit(capsys, ok, "macro allocation vs kkt",
                 f"200 slack instances err {err_slack:.3e} (limit 1e-05); "
-                f"{n_binding} binding entries err {err_binding:.3e} "
-                f"(1e-08); flag disagreements "
-                f"{int(np.count_nonzero(feas2 != ref2.feasible))}")
+                f"{n_binding} binding entries; flag disagreements "
+                f"{int(np.count_nonzero(solved != ref2.feasible))}")
     assert ok, line
 
 

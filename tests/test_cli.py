@@ -164,6 +164,31 @@ class TestValidateCommand:
                     assert math.isfinite(float(row[f"power_{k}_w"]))
                     assert math.isfinite(float(row.get(f"outage_{k}", 0)))
 
+    @pytest.mark.parametrize("experiment, trials", [("power-compare", "2"),
+                                                    ("mu-outage", "6")])
+    def test_overflowing_nominal_total_is_infeasible(
+            self, tmp_path, monkeypatch, experiment, trials):
+        """With noise_power = 3e298 W and p_tol = 1e302 W some proposed
+        allocations have powers that fit in a double and a total that does
+        not: those rows are infeasible, no feasible row carries an inf
+        power, and neither validate nor the run issues a numpy warning."""
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        big = tmp_path / "noise.ini"
+        big.write_text("[scenario]\nnoise_power = 3e298\np_tol_dbm = 3050\n",
+                       encoding="utf-8")
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", "--config", str(big)]) == 0
+            assert main(["run", "--experiment", experiment,
+                         "--config", str(big), "--out", str(out),
+                         "--trials", trials]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert "inf" not in text
+        flags = [row["feasible"] for row in csv.DictReader(text.splitlines())
+                 if row["row"] == "trial"]
+        assert "0" in flags and "1" in flags
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 2
 

@@ -471,8 +471,7 @@ class TestRunExperiment:
         assert prop.p0[0] == pytest.approx(222.26, abs=0.01)
         beams = design_beamformers(channels)
         coupling = couple(channels, beams)
-        _, _, caps = macro_coefficients(coupling, prop.cross_report,
-                                        cfg.noise_power)
+        _, caps = macro_coefficients(coupling)
         assert prop.p0[0] * caps[0].max() <= cfg.p_tol
         F, _ = stack_system(coupling,
                             np.repeat([gm, gf], [coupling.n0, coupling.n1]),

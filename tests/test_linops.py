@@ -80,6 +80,21 @@ class TestConvolve:
                                    2.0 * responses(a, b) + responses(a, c),
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("L", [2, 6, 9])
+    def test_victim_rows_do_not_depend_on_the_stack(self, M, K, L):
+        """A lone victim gets the same bits as its row in a taller stack,
+        so a bound taken one link at a time equals the stacked one."""
+        rng = np.random.default_rng([M, K, L])
+        filters, cirs = crandn(rng, M, K, L), crandn(rng, M, 5, L)
+        stacked = responses(filters, cirs)
+        for v in range(5):
+            np.testing.assert_array_equal(
+                responses(filters, cirs[:, v:v + 1])[0], stacked[v])
+        np.testing.assert_array_equal(responses(filters, cirs[:, 1:3]),
+                                      stacked[1:3])
+
 
 class TestSylvesterMatrix:
     """The block-shift reference the ZF stacked system is checked against."""
