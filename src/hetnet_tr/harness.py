@@ -22,12 +22,13 @@ import numpy as np
 from .beamform import design_beamformers, tr_beamformer_cirs, zf_select_cirs
 from .channel import draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError
-from .linops import responses
+from .linops import real_response_map
 from .power import solve_centralized, solve_proposed
 from .robust import (
+    _ball,
+    _ball_steps,
     assemble_bounds,
     link_bounds,
-    sample_true_channels,
     solve_robust,
     worst_case_oracle,
 )
@@ -246,19 +247,29 @@ def _design_row(designs):
 def _ball_statistics(h1, g, psi, rng, draws):
     """(tot, main) of every TR beam over each FU's sampled true channels.
 
-    Each draw is one victim of linops.responses, so one product per FU
-    gives every beam's response on every draw of that FU. tot[j, p, k] is
-    beam k's response energy on FU j's draw p and main[j, p] the power of
-    FU j's own beam at the central tap there.
+    Responses are linear in the channel: on a draw they are the responses
+    at the ball center minus the draw's real step (robust._ball_steps)
+    times linops.real_response_map. So one real product per FU gives every
+    beam's response on every draw, and no complex true channel is formed.
+    tot[j, p, k] is beam k's response energy on FU j's draw p and
+    main[j, p] the power of FU j's own beam at the central tap there.
     """
     _, n1, taps = g.shape
+    conv = real_response_map(g)
+    centers, _ = _ball(h1, psi)
+    at_center = np.concatenate([centers.real, centers.imag], axis=-1)
+    at_center = at_center.transpose(1, 0, 2).reshape(n1, -1) @ conv
     tot = np.empty((n1, draws, n1))
     main = np.empty((n1, draws))
     for j in range(n1):
-        truths = sample_true_channels(h1[:, j, :], psi, rng, count=draws)
-        resp = responses(g, truths.transpose(1, 0, 2))
-        tot[j] = np.sum(np.abs(resp) ** 2, axis=2)
-        main[j] = np.abs(resp[:, j, taps - 1]) ** 2
+        steps = _ball_steps(h1[:, j, :], psi, rng, draws)
+        energy = steps.reshape(draws, -1) @ conv
+        energy -= at_center[j]  # the negated responses: squared alike
+        np.square(energy, out=energy)
+        energy = energy.reshape(draws, n1, -1)
+        np.einsum("pkt->pk", energy, out=tot[j])
+        np.add(energy[:, j, 2 * taps - 2], energy[:, j, 2 * taps - 1],
+               out=main[j])
     return tot, main
 
 
@@ -267,18 +278,21 @@ def _ball_outages(tot, main, designs, gamma_f, floor):
 
     tot and main are _ball_statistics; a design that did not solve scores
     nan. Every solved design, FU and draw is scored in one array
-    expression.
+    expression, with powers in units of the floor. That leaves every SINR
+    unchanged and keeps powers near the top of the double range from
+    overflowing when multiplied by an energy.
     """
     n1, draws = main.shape
     solved = [k for k in _DESIGNS if designs[k] is not None]
     p = np.array([designs[k] for k in solved]).reshape(len(solved), n1)
+    p = p / floor
     fu = np.arange(n1)
     own = tot[fu, :, fu]
     p_own = p[:, :, None]
     sig = p_own * main
     isi = p_own * (own - main)
     co = np.matmul(tot, p[:, None, :, None])[..., 0] - p_own * own
-    achieved = sig / (isi + co + floor)
+    achieved = sig / (isi + co + 1.0)
     miss = np.count_nonzero(achieved < gamma_f * (1.0 - 1e-6), axis=(1, 2))
     outage = {k: int(m) / float(draws * n1) for k, m in zip(solved, miss)}
     return [outage.get(k, float("nan")) for k in _DESIGNS]

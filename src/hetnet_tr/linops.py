@@ -47,6 +47,22 @@ def responses(filters, cirs):
     return (taps @ conv)[:V].reshape(V, K, 2 * L - 1)
 
 
+def real_response_map(filters):
+    """The product of responses in real arithmetic, (M·2L, K·2(2L-1)).
+
+    With each antenna's taps laid out real then imaginary, x (..., M·2L),
+    x @ map holds every beam's response at every tap as a (re, im) pair,
+    laid out (..., K, 2L-1, 2): the convolution matrices G = Gr + j Gi
+    enter as the blocks [[Gr, Gi], [-Gi, Gr]].
+    """
+    M, _, L = filters.shape
+    G = toeplitz_conv_matrix(filters).transpose(0, 3, 1, 2)
+    gr, gi = G.real, G.imag
+    return np.stack([np.stack([gr, gi], axis=-1),
+                     np.stack([-gi, gr], axis=-1)], axis=1).reshape(
+                         2 * M * L, -1)
+
+
 def pseudo_inverse(A):
     """Moore-Penrose pseudo-inverse via SVD with a relative rank cutoff."""
     A = np.asarray(A)

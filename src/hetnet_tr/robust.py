@@ -235,27 +235,43 @@ def worst_case_oracle(g_hat, h_hat, psi, rng=None):
     return WorstCaseExtrema(float(max_energy), float(min_central))
 
 
+def _ball_steps(h_hat, psi, rng, count):
+    """Real steps (count, M, 2L) from each antenna's ball center to its draws.
+
+    Antenna by antenna, a standard normal block z (count, 2, L), real taps
+    then imaginary, and then count uniform radius fractions u give the
+    steps r_i u^(1/2L) z / ||z||, laid out real taps then imaginary; draw p
+    sits at c_i minus step p read as complex. psi = 0 reads nothing from
+    rng, and every step is zero.
+    """
+    m, taps = h_hat.shape
+    if psi == 0.0:
+        return np.zeros((count, m, 2 * taps))
+    _, radii = _ball(h_hat, psi)
+    steps = np.empty((count, m, 2 * taps))
+    z = np.empty((count, 2 * taps))
+    for i in range(m):
+        rng.standard_normal(out=z)  # the (count, 2, L) block, flat
+        scale = radii[i] * rng.random(count) ** (1.0 / (2 * taps))
+        scale /= np.sqrt(np.einsum("pl,pl->p", z, z))
+        np.multiply(z, scale[:, None], out=steps[:, i, :])
+    return steps
+
+
 def sample_true_channels(h_hat, psi, rng, count):
     """Draw count true channels (count, M, L), uniform over the product of balls.
 
     Antenna by antenna, a standard normal direction and then a uniform
-    radius fraction u place each draw at c_i - r_i u^(1/2L) dir; psi = 0
-    returns the estimate and reads nothing from rng.
+    radius fraction u place each draw at c_i - r_i u^(1/2L) dir (the steps
+    of _ball_steps); psi = 0 returns the estimate and reads nothing from
+    rng.
     """
     psi = _check_psi(psi)
     h = np.asarray(h_hat, dtype=complex)
     count = int(count)
     if count < 1:
         raise ValueError("count must be a positive integer")
-    m, taps = h.shape
-    if psi == 0.0:
-        return np.broadcast_to(h, (count, m, taps)).copy()
-    centers, radii = _ball(h, psi)
-    out = np.empty((count, m, taps), dtype=complex)
-    for i in range(m):
-        z = rng.standard_normal((count, 2, taps))
-        direction = z[:, 0, :] + 1j * z[:, 1, :]
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        reach = radii[i] * rng.random(count) ** (1.0 / (2 * taps))
-        out[:, i, :] = centers[i] - reach[:, None] * direction
-    return out
+    taps = h.shape[-1]
+    centers, _ = _ball(h, psi)
+    steps = _ball_steps(h, psi, rng, count)
+    return centers - (steps[..., :taps] + 1j * steps[..., taps:])

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnet_tr.beamform import design_beamformers, tr_beamformer_cirs
 from hetnet_tr.channel import ScenarioConfig
@@ -35,6 +37,7 @@ from hetnet_tr.robust import (
 )
 from hetnet_tr.sinr import couple
 
+from helpers import crandn
 from oracles import stack_system
 
 
@@ -315,6 +318,34 @@ class TestRobustStacks:
                         assert main[j, p] == pytest.approx(
                             abs(r[taps - 1]) ** 2, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+           n1=st.integers(1, 3), taps=st.integers(1, 8),
+           psi=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           draws=st.integers(1, 6))
+    def test_ball_statistics_read_the_sampler_draws(self, seed, m, n1, taps,
+                                                    psi, draws):
+        """The real-arithmetic statistics equal convolutions of the draws
+        sample_true_channels makes from the same seed, and leave the
+        generator where the sampler leaves it."""
+        rng = np.random.default_rng(seed)
+        g, h1 = crandn(rng, m, n1, taps), crandn(rng, m, n1, taps)
+        got_rng = np.random.default_rng([seed, 1])
+        tot, main = _ball_statistics(h1, g, psi, got_rng, draws)
+        want_rng = np.random.default_rng([seed, 1])
+        for j in range(n1):
+            truths = sample_true_channels(h1[:, j, :], psi, want_rng, draws)
+            for p, truth in enumerate(truths):
+                r = [sum(np.convolve(g[i, k], truth[i]) for i in range(m))
+                     for k in range(n1)]
+                want = [float(np.sum(np.abs(rk) ** 2)) for rk in r]
+                np.testing.assert_allclose(tot[j, p], want, rtol=1e-12)
+                # the real form cancels where the central tap is small
+                assert main[j, p] == pytest.approx(
+                    abs(r[j][taps - 1]) ** 2, rel=0.0,
+                    abs=1e-12 * tot[j, p, j])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestWorkerCount:
     def test_default_is_one(self, monkeypatch):
@@ -391,6 +422,20 @@ class TestRunExperiment:
         first = (tmp_path / "out.csv").read_bytes()
         run_experiment(spec, cfg)
         assert (tmp_path / "out.csv").read_bytes() == first
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_outage_scored_in_units_of_the_floor(self, tmp_path, monkeypatch):
+        """Powers near the top of the double range score without overflow:
+        a design that solves its worst-case constraints has no outage on
+        the ball, where unscaled products overflowed into wrong cells."""
+        monkeypatch.setenv("HETNET_TR_THREADS", "1")
+        cfg = ScenarioConfig(noise_power=1.7e308, exp_femto=1e-320)
+        rows = run_experiment(spec_for("fu-outage", tmp_path, seed=12345),
+                              cfg, error_draws=50)
+        solved = [dict(r.values) for r in rows
+                  if dict(r.values)["feas_proposed"] == 1.0]
+        assert solved
+        assert all(v["outage_proposed"] == 0.0 for v in solved)
 
     # small runs per experiment: (trials, sweep)
     WORKER_RUNS = {

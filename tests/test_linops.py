@@ -7,6 +7,7 @@ from hetnet_tr.errors import NumericalError
 from hetnet_tr.linops import (
     dominant_eigpair,
     pseudo_inverse,
+    real_response_map,
     responses,
     spectral_radius,
     toeplitz_conv_matrix,
@@ -94,6 +95,19 @@ class TestConvolve:
                 responses(filters, cirs[:, v:v + 1])[0], stacked[v])
         np.testing.assert_array_equal(responses(filters, cirs[:, 1:3]),
                                       stacked[1:3])
+
+    @pytest.mark.parametrize("M,K,L", [(1, 1, 1), (2, 3, 4), (4, 2, 6)])
+    def test_real_map_is_the_product_in_real_arithmetic(self, M, K, L):
+        """Taps laid out real then imaginary per antenna, times the real
+        map, give every response as (re, im) pairs."""
+        rng = np.random.default_rng([M, K, L, 1])
+        filters, cirs = crandn(rng, M, K, L), crandn(rng, M, 3, L)
+        taps = np.concatenate([cirs.real, cirs.imag], axis=-1)
+        got = (taps.transpose(1, 0, 2).reshape(3, -1)
+               @ real_response_map(filters)).reshape(3, K, 2 * L - 1, 2)
+        want = responses(filters, cirs)
+        np.testing.assert_allclose(got[..., 0] + 1j * got[..., 1], want,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestSylvesterMatrix:
