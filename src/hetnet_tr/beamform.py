@@ -33,19 +33,39 @@ class BeamformerSet:
 
 def _stacked_system(h):
     """Stacked per-MU convolution matrices: row n*(2L-1) + t, column
-    c*M + m holds h[m, n, t - c], so columns follow the tap-major w."""
-    M, N, L = h.shape
-    return toeplitz_conv_matrix(h).transpose(1, 2, 3, 0).reshape(
-        N * (2 * L - 1), L * M)
+    c*M + m holds h[m, n, t - c], so columns follow the tap-major w.
+
+    h (..., M, N, L) may stack CIR groups along leading axes; their
+    systems stack the same way, (..., N*(2L-1), L*M).
+    """
+    *lead, M, N, L = h.shape
+    return np.moveaxis(toeplitz_conv_matrix(h), -4, -1).reshape(
+        *lead, N * (2 * L - 1), L * M)
 
 
 def _unflatten(w, M, L):
-    # inverse of the tap-major stacking w[c*M + m] = u[m, c]
-    return w.reshape(L, M).T
+    # inverse of the tap-major stacking w[..., c*M + m] = u[..., m, c]
+    return np.swapaxes(w.reshape(*w.shape[:-1], L, M), -1, -2)
+
+
+def _unit_norm(w):
+    """w / np.linalg.norm(w) for every vector along the last axis.
+
+    np.linalg.norm of a complex vector is sqrt(re.re + im.im) from two
+    BLAS dot products; a stacked (1, n) @ (n, 1) matmul runs that same
+    dot per vector, so every quotient keeps the one-vector bits.
+    """
+    re, im = w.real[..., None, :], w.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return w / np.sqrt(sq[..., 0])
 
 
 def zf_select_cirs(h, strict=True):
     """Best-tap zero-forcing filters for every user of a CIR group.
+
+    h (..., M, N, L) may stack groups along leading axes, such as the
+    trials of a stack; every result stacks the same way, and a slice's
+    bits do not depend on the others.
 
     Candidate (n, tap) is column idx = n*(2L-1) + tap-1 of P = pinv(H),
     for the stacked system H; column idx of H @ P is that candidate's
@@ -58,56 +78,63 @@ def zf_select_cirs(h, strict=True):
     system is too wide to invert exactly.
 
     Keeps each user's largest ratio, breaking ties toward the smallest
-    tap. Returns (filters, taps) with filters (M, N, L), unit stacked norm,
-    and 1-based taps (N,).
+    tap. Returns (filters, taps, reachable): filters (..., M, N, L) with
+    unit stacked norm, 1-based taps (..., N), and reachable (...,) False
+    where some user has no reachable tap; such a user's filters are zero
+    and its tap is 1.
     """
-    M, N, L = h.shape
+    *lead, M, N, L = h.shape
     bands = 2 * L - 1
     H = _stacked_system(h)
     P = pseudo_inverse(H)
     HP = H @ P
-    main = np.abs(np.diagonal(HP)) ** 2
+    main = np.abs(np.diagonal(HP, axis1=-2, axis2=-1)) ** 2
     # both terms scale with the squared filter norm, so rank unnormalized
-    residual = np.sum(np.abs(HP) ** 2, axis=0) - main
-    norm_sq = np.sum(np.abs(P) ** 2, axis=0)
+    residual = np.sum(np.abs(HP) ** 2, axis=-2) - main
+    norm_sq = np.sum(np.abs(P) ** 2, axis=-2)
     reachable = norm_sq > 0.0
     if strict:
-        miss = np.linalg.norm(HP - np.eye(N * bands), axis=0)
+        miss = np.linalg.norm(HP - np.eye(N * bands), axis=-2)
         reachable &= miss <= _ZF_RESIDUAL_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(reachable, main / (residual + norm_sq), -np.inf)
-    u = np.zeros((M, N, L), dtype=complex)
-    alpha = np.zeros(N, dtype=int)
-    for n in range(N):
-        cols = slice(n * bands, (n + 1) * bands)
-        if not reachable[cols].any():
-            raise InfeasibleError("zf", f"no reachable tap for user {n}")
-        best = int(np.argmax(gamma[cols]))
-        w = P[:, n * bands + best]
-        u[:, n, :] = _unflatten(w / float(np.linalg.norm(w)), M, L)
-        alpha[n] = best + 1
-    return u, alpha
+    found = reachable.reshape(*lead, N, bands).any(axis=-1)
+    best = np.argmax(gamma.reshape(*lead, N, bands), axis=-1)
+    cols = np.arange(N) * bands + best
+    w = np.swapaxes(np.take_along_axis(P, cols[..., None, :], axis=-1),
+                    -1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(found[..., None], _unit_norm(w), 0.0)
+    u = np.swapaxes(_unflatten(w, M, L), -3, -2)
+    return u, best + 1, found.all(axis=-1)
 
 
 def zf_select(channels):
-    """Selected macro filters and taps: (u (M0,N0,L), alpha (N0,) 1-based)."""
-    return zf_select_cirs(channels.h0, strict=True)
+    """Selected macro filters and taps: (u (M0,N0,L), alpha (N0,) 1-based).
+
+    Raises InfeasibleError("zf") when a MU has no reachable tap.
+    """
+    u, alpha, reachable = zf_select_cirs(channels.h0, strict=True)
+    if not reachable:
+        n = int(np.flatnonzero(~u.any(axis=(0, 2)))[0])
+        raise InfeasibleError("zf", f"no reachable tap for user {n}")
+    return u, alpha
 
 
 def tr_beamformer_cirs(h):
-    """Time-reversal filters for every user of a CIR group (M, N, L).
+    """Time-reversal filters for every user of a CIR group (..., M, N, L).
 
     g_ij is the conjugated, time-reversed CIR scaled so the stacked filter
-    of each user has unit norm: sum_i ||g_ij||^2 = 1.
+    of each user has unit norm: sum_i ||g_ij||^2 = 1. Each user's energy
+    is summed over its contiguous M*L block, as for one group alone.
     """
-    M, N, L = h.shape
-    g = np.zeros_like(h)
-    for j in range(N):
-        s = float(np.sum(np.abs(h[:, j, :]) ** 2))
-        if s == 0.0:
-            raise ValueError(f"all-zero channel for user {j}: TR scale undefined")
-        g[:, j, :] = np.conj(h[:, j, ::-1]) / np.sqrt(s)
-    return g
+    *lead, M, N, L = h.shape
+    blocks = np.swapaxes(h, -3, -2).reshape(*lead, N, M * L)
+    s = np.sum(np.abs(blocks) ** 2, axis=-1)
+    if (s == 0.0).any():
+        j = int(np.nonzero(s == 0.0)[-1][0])
+        raise ValueError(f"all-zero channel for user {j}: TR scale undefined")
+    return np.conj(h[..., ::-1]) / np.sqrt(s)[..., None, :, None]
 
 
 def design_beamformers(channels):

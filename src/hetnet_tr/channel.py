@@ -195,7 +195,14 @@ class ChannelSet:
 
     @property
     def taps(self):
-        return self.h0.shape[2]
+        return self.h0.shape[-1]
+
+    @classmethod
+    def stack(cls, sets):
+        """Each link group of several ChannelSets stacked on a new first
+        axis, (T, antennas, users, taps)."""
+        return cls(*(np.stack([getattr(c, f.name) for c in sets])
+                     for f in fields(cls)))
 
 
 def _uniform_disc(rng, n, radius):

@@ -1,14 +1,19 @@
 """Experiment harness: experiment registry, trial runner, CSV output.
 
-Each experiment is one _REGISTRY entry, and one loop, _run_trial, runs a
-trial of any of them.
+Each experiment is one _REGISTRY entry, and one loop, _run_stack, runs a
+stack of consecutive trials of any of them: every trial of the stack
+draws its own scenario, one setup builds the beams and couplings of all
+of them with the kernels' leading trial axis, and then each trial's
+sweep points run one by one.
 
-Experiments are trial-parallel. Every trial derives its own generator
-from (seed, trial id), so output bytes depend only on (spec, config) and
-never on worker count or scheduling; HETNET_TR_THREADS sets the worker
-count (default 1, at most os.cpu_count()). Workers are spawned, so they
-import the package afresh, and a script that runs an experiment on more
-than one worker needs an `if __name__ == "__main__":` guard.
+Every trial derives its own generator from (seed, trial id), and a
+trial's bits do not depend on the stack it runs in, so output bytes
+depend only on (spec, config) and never on worker count or scheduling.
+HETNET_TR_THREADS sets the worker count (default 1, at most
+os.cpu_count()); with more than one, each stack is one task of a pool of
+spawned workers, which import the package afresh, so a script that runs
+an experiment on more than one worker needs an
+`if __name__ == "__main__":` guard.
 """
 
 import itertools
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import design_beamformers, tr_beamformer_cirs, zf_select_cirs
-from .channel import draw_channel_set, place_nodes
+from .beamform import BeamformerSet, tr_beamformer_cirs, zf_select_cirs
+from .channel import ChannelSet, draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError
 from .linops import real_response_map
 from .power import solve_centralized, solve_proposed
@@ -32,7 +37,7 @@ from .robust import (
     solve_robust,
     worst_case_oracle,
 )
-from .sinr import Coupling, couple, coupling_terms, victim_sinrs
+from .sinr import Coupling, couple, coupling_terms, victim_terms
 
 
 _SWEEP_RANGES = {
@@ -127,12 +132,30 @@ def _draw_scenario(cfg, seed, trial):
     return channels, rng
 
 
-# ---------------------------------------------------------------------------
-# experiments: per-trial setups, per-point steps and the registry
+# trials whose setups run as one: large enough to share the kernels' call
+# overhead, small enough that a stack's arrays stay a few kilobytes
+_STACK = 8
 
-def _nominal_setup(channels, rng, cfg, extra):
-    """Beams and their full coupling; neither depends on the SINR targets."""
-    return channels, couple(channels, design_beamformers(channels))
+
+# ---------------------------------------------------------------------------
+# experiments: per-stack setups, per-point steps and the registry
+
+def _h1_stack(channels):
+    return np.stack([ch.h1 for ch in channels])
+
+
+def _nominal_setup(channels, rngs, cfg, extra):
+    """Beams and their full coupling; neither depends on the SINR targets.
+
+    A trial whose ZF selection leaves a MU without a reachable tap gets
+    None.
+    """
+    stack = ChannelSet.stack(channels)
+    u, alpha, reachable = zf_select_cirs(stack.h0)
+    beams = BeamformerSet(u=u, alpha=alpha, g=tr_beamformer_cirs(stack.h1),
+                          beta=stack.taps)
+    return [(ch, coupling) if ok else None for ch, coupling, ok in zip(
+        channels, couple(stack, beams).unstack(), reachable)]
 
 
 def _power_compare_step(state, pt, cfg):
@@ -155,29 +178,43 @@ def _mu_outage_step(state, pt, cfg):
     return (outage, float(prop.total_power)), True
 
 
-def _tr_vs_zf_setup(channels, rng, cfg, extra):
+def _tr_vs_zf_setup(channels, rngs, cfg, extra):
     """Single-tier couplings of the TR and the (non-strict) ZF beams."""
-    h1 = channels.h1
+    h1 = _h1_stack(channels)
     tr = Coupling.from_energy(
         *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
-    u_zf, taps_zf = zf_select_cirs(h1, strict=False)
-    return tr, Coupling.from_energy(*coupling_terms(u_zf, h1, taps_zf))
+    u_zf, taps_zf, reachable = zf_select_cirs(h1, strict=False)
+    zf = Coupling.from_energy(*coupling_terms(u_zf, h1, taps_zf))
+    return [(t, z) if ok else None
+            for t, z, ok in zip(tr.unstack(), zf.unstack(), reachable)]
+
+
+def _mean_sinr_db(coupling, powers, cfg):
+    """10 log10 of the mean SINR over a single tier's victims, against the
+    tolerated cross-tier floor.
+
+    Taken in the log domain, log10 of each signal minus log10 of the rest,
+    and averaged shifted by the largest: an SINR below the double range
+    keeps its finite dB value instead of underflowing to -inf.
+    """
+    signal, rest = victim_terms(coupling, powers, cfg.noise_power, cfg.p_tol)
+    log = np.log10(signal) - np.log10(rest)
+    top = log.max()
+    return float(10.0 * (top + np.log10(np.mean(10.0 ** (log - top)))))
 
 
 def _tr_vs_zf_step(state, pt, cfg):
     tr, zf = state
     powers = np.full(tr.n1, _db(pt["p_dbm"] - 30.0))  # dBm to W
-    # one tier alone, against the tolerated cross-tier floor
-    s_tr = victim_sinrs(tr, powers, cfg.noise_power, cfg.p_tol)
-    s_zf = victim_sinrs(zf, powers, cfg.noise_power, cfg.p_tol)
     # dB per trial so the summary mean is tail-robust (geometric)
-    return (float(10.0 * np.log10(np.mean(s_tr))),
-            float(10.0 * np.log10(np.mean(s_zf)))), True
+    return (_mean_sinr_db(tr, powers, cfg), _mean_sinr_db(zf, powers, cfg)), True
 
 
-def _bound_tightness_setup(channels, rng, cfg, extra):
+def _bound_tightness_setup(channels, rngs, cfg, extra):
     """FU 0's TR beam and estimated channel, and the oracle's generator."""
-    return tr_beamformer_cirs(channels.h1)[:, 0, :], channels.h1[:, 0, :], rng
+    g = tr_beamformer_cirs(_h1_stack(channels))[..., 0, :]
+    return [(g_t, ch.h1[:, 0, :], rng)
+            for g_t, ch, rng in zip(g, channels, rngs)]
 
 
 def _bound_tightness_step(state, pt, cfg):
@@ -189,11 +226,12 @@ def _bound_tightness_step(state, pt, cfg):
     return (young, prop, wc.max_energy, floor, wc.min_central, gap_db), True
 
 
-def _robust_setup(channels, rng, cfg, extra):
+def _robust_setup(channels, rngs, cfg, extra):
     """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
-    g = tr_beamformer_cirs(channels.h1)
-    nominal = assemble_bounds(channels, g, 0.0, cfg.p_tol, cfg.noise_power)
-    return channels, g, nominal, rng, extra, {}
+    return [(ch, g, assemble_bounds(ch, g, 0.0, cfg.p_tol, cfg.noise_power),
+             rng, extra, {})
+            for ch, g, rng in zip(channels, tr_beamformer_cirs(
+                _h1_stack(channels)), rngs)]
 
 
 def _robust_point(state, pt, cfg, ball):
@@ -316,12 +354,15 @@ class _Experiment:
 
     values and axes are in CSV order; axes maps each sweep key to its
     default grid, and a None grid leaves the axis out unless swept (the
-    step then reads the config value). setup(channels, rng, cfg, extra)
-    builds what a trial's points share and step(state, point, cfg)
-    returns a point's (values, feasible); if either raises
-    InfeasibleError, the point gets the infeasible row. Both must be this
-    module's own functions, so that they reach the solvers through its
-    module-level names, which tracing rebinds.
+    step then reads the config value). setup(channels, rngs, cfg, extra)
+    builds what each trial of a stack shares across its points, from the
+    stack's ChannelSets and generators, and returns one state per trial,
+    None for a trial that is infeasible at every point. step(state,
+    point, cfg) returns a point's (values, feasible); if it raises
+    InfeasibleError, or the state is None, the point gets the infeasible
+    row. Both must be this module's own functions, so that they reach the
+    kernels and solvers through its module-level names, which tracing
+    rebinds.
     """
 
     values: tuple
@@ -377,28 +418,37 @@ EXPERIMENTS = tuple(_REGISTRY)
 # ---------------------------------------------------------------------------
 # runner and CSV emission
 
-def _run_trial(name, trial, cfg, points, extra, seed):
-    """Every TrialRecord of one trial: the experiment's setup runs once,
-    its step at each point. Only here does an InfeasibleError become the
-    infeasible row: of its point from a step, of every point from setup.
+def _stacks(trials):
+    """Consecutive trial ids in stacks of _STACK, the last one shorter."""
+    return [range(first, min(first + _STACK, trials))
+            for first in range(0, trials, _STACK)]
+
+
+def _run_stack(name, trials, cfg, points, extra, seed):
+    """Every TrialRecord of a stack of trials, in trial then point order.
+
+    Each trial draws its scenario, the experiment's setup runs once for
+    the stack, and its step once per trial and point. Only here does an
+    InfeasibleError become the infeasible row of its point, and a None
+    state that of every point of its trial. Each trial's state is dropped
+    once its rows are built, so per-trial caches do not pile up.
     """
     exp = _REGISTRY[name]
-    channels, rng = _draw_scenario(cfg, seed, trial)
-    try:
-        state = exp.setup(channels, rng, cfg, extra)
-    except InfeasibleError:
-        state = None
+    channels, rngs = zip(*(_draw_scenario(cfg, seed, t) for t in trials))
+    states = exp.setup(channels, rngs, cfg, extra)
     rows = []
-    for pt in points:
-        values, feasible = exp.infeasible, False
-        if state is not None:
-            try:
-                values, feasible = exp.step(state, pt, cfg)
-            except InfeasibleError:
-                pass
-        rows.append(TrialRecord(trial=trial, sweep=tuple(pt.items()),
-                                values=tuple(zip(exp.values, values)),
-                                feasible=feasible))
+    for i, trial in enumerate(trials):
+        state, states[i] = states[i], None
+        for pt in points:
+            values, feasible = exp.infeasible, False
+            if state is not None:
+                try:
+                    values, feasible = exp.step(state, pt, cfg)
+                except InfeasibleError:
+                    pass
+            rows.append(TrialRecord(trial=trial, sweep=tuple(pt.items()),
+                                    values=tuple(zip(exp.values, values)),
+                                    feasible=feasible))
     return rows
 
 
@@ -474,18 +524,19 @@ def run_experiment(spec, config, error_draws=10_000):
     config.validate()
     points = spec.sweep_points()
     extra = {"error_draws": int(error_draws)}
-    payloads = [(spec.name, t, config, points, extra, spec.seed)
-                for t in range(spec.trials)]
+    stacks = _stacks(spec.trials)
     workers = min(_worker_count(), spec.trials)
     if workers == 1:
-        batches = [_run_trial(*p) for p in payloads]
+        batches = [_run_stack(spec.name, trials, config, points, extra,
+                              spec.seed) for trials in stacks]
     else:
-        chunk = max(1, spec.trials // (4 * workers))
+        n = len(stacks)
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers,
+        with ProcessPoolExecutor(max_workers=min(workers, n),
                                  mp_context=spawn) as pool:
-            batches = list(pool.map(_run_trial, *zip(*payloads),
-                                    chunksize=chunk))
+            batches = list(pool.map(
+                _run_stack, [spec.name] * n, stacks, [config] * n,
+                [points] * n, [extra] * n, [spec.seed] * n))
     rows = [r for batch in batches for r in batch]
     _emit_csv(spec.output_path, spec.name, points, rows)
     return rows

@@ -30,21 +30,23 @@ def toeplitz_conv_matrix(g):
 
 
 def responses(filters, cirs):
-    """Combined response of every beam at every victim, (V, K, 2L-1).
+    """Combined response of every beam at every victim, (..., V, K, 2L-1).
 
-    filters (M, K, L) and cirs (M, V, L) share the M transmit antennas;
-    out[v, k] = sum_m convolve(filters[m, k], cirs[m, v]), as one product
-    of the victims' stacked taps with the filters' convolution matrices.
-    A victim's row has the same bits whatever the number of victims.
+    filters (..., M, K, L) and cirs (..., M, V, L) share the M transmit
+    antennas and any leading stack axes; out[..., v, k] = sum_m
+    convolve(filters[..., m, k], cirs[..., m, v]), as one product of the
+    victims' stacked taps with the filters' convolution matrices. A
+    victim's row has the same bits whatever the number of victims and
+    whatever the stack.
     """
-    M, K, L = filters.shape
-    V = cirs.shape[1]
-    conv = toeplitz_conv_matrix(filters).transpose(0, 3, 1, 2).reshape(
-        M * L, K * (2 * L - 1))
-    taps = np.moveaxis(cirs, 1, 0).reshape(V, M * L)
+    *lead, M, K, L = filters.shape
+    V = cirs.shape[-2]
+    conv = np.moveaxis(toeplitz_conv_matrix(filters), -1, -3).reshape(
+        *lead, M * L, K * (2 * L - 1))
+    taps = np.moveaxis(cirs, -2, -3).reshape(*lead, V, M * L)
     if V == 1:  # numpy sums a lone row in another order than a stack's rows
-        taps = np.repeat(taps, 2, axis=0)
-    return (taps @ conv)[:V].reshape(V, K, 2 * L - 1)
+        taps = np.repeat(taps, 2, axis=-2)
+    return (taps @ conv)[..., :V, :].reshape(*lead, V, K, 2 * L - 1)
 
 
 def real_response_map(filters):

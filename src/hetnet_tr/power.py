@@ -109,14 +109,19 @@ def solve_femto(stack, gamma_f, p_tol, noise):
     return solve_fixed_point(stack, gamma_f, p_tol + noise, "femto")
 
 
-def cross_report(coupling, p1):
+def cross_report(coupling, p1, stage="macro"):
     """Cross-tier interference each MU receives from the femto allocation.
 
     These N0 scalars are the only femto-side quantities the macro tier
-    sees.
+    sees. A report that overflows a double raises InfeasibleError(stage).
     """
     co = coupling.pu_co_coeff[:coupling.n0, coupling.femto]
-    return (co * p1).sum(axis=1)
+    with np.errstate(over="ignore"):
+        report = (co * p1).sum(axis=1)
+    if not np.isfinite(report).all():
+        raise InfeasibleError(stage, "the cross-tier report overflows a "
+                              "double")
+    return report
 
 
 def macro_coefficients(coupling):
@@ -185,7 +190,8 @@ def solve_centralized(coupling, gamma_m, gamma_f, noise):
     s = victim_sinrs(coupling, p, noise)
     return AllocationResult(
         p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],
-        cross_report=cross_report(coupling, p[fu]), total_power=total)
+        cross_report=cross_report(coupling, p[fu], "centralized"),
+        total_power=total)
 
 
 def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):

@@ -33,20 +33,23 @@ class PowerBreakdown:
 def coupling_terms(filters, cirs, taps, first=0):
     """Per-unit-power coupling of K beams with V victim users.
 
-    filters (M, K, L) and cirs (M, V, L) share the M transmit antennas.
-    Returns (energy (V, K), signal (K,)): energy[v, k] sums |r|^2 over all
-    2L-1 taps of beam k's combined response r at victim v
+    filters (..., M, K, L) and cirs (..., M, V, L) share the M transmit
+    antennas and any leading stack axes, and taps broadcasts to (..., K).
+    Returns (energy (..., V, K), signal (..., K)): energy[v, k] sums |r|^2
+    over all 2L-1 taps of beam k's combined response r at victim v
     (linops.responses), and signal[k] is |r[taps[k] - 1]|^2 at beam k's
     own victim, first + k.
     """
-    _, K, L = filters.shape
+    *lead, _, K, L = filters.shape
     bands = 2 * L - 1
-    taps = np.broadcast_to(np.asarray(taps, dtype=int), (K,))
+    taps = np.broadcast_to(np.asarray(taps, dtype=int), (*lead, K))
     if ((taps < 1) | (taps > bands)).any():
         raise ValueError(f"selected taps {taps.tolist()} outside 1..{bands}")
     resp = responses(filters, cirs)
     beams = np.arange(K)
-    signal = np.abs(resp[first + beams, beams, taps - 1]) ** 2
+    own = resp[..., first + beams, beams, :]
+    signal = np.abs(np.take_along_axis(own, taps[..., None] - 1, axis=-1)[
+        ..., 0]) ** 2
     return np.sum(np.abs(resp) ** 2, axis=-1), signal
 
 
@@ -84,16 +87,24 @@ class Coupling:
         energy[v, k] is beam k's response energy at victim v and signal[v]
         beam v's power at its own victim's sampling tap
         (coupling_terms); the ISI is the rest of the diagonal. energy is
-        copied, and signal becomes the Coupling's own array.
+        copied, and signal becomes the Coupling's own array. Both may
+        stack realizations along leading axes (unstack splits them).
         """
         co = np.array(energy, dtype=float)
-        isi = np.diagonal(co) - signal
-        np.fill_diagonal(co, 0.0)
+        isi = np.diagonal(co, axis1=-2, axis2=-1) - signal
+        victims = np.arange(co.shape[-1])
+        co[..., victims, victims] = 0.0
         return cls(signal, isi, co, n0)
+
+    def unstack(self):
+        """One Coupling per realization of a stacked Coupling's first axis,
+        each a view of its slice."""
+        return [Coupling(*coeffs, self.n0) for coeffs in zip(
+            self.pl_sig_coeff, self.pu_isi_coeff, self.pu_co_coeff)]
 
     @property
     def n1(self):
-        return self.pl_sig_coeff.size - self.n0
+        return self.pl_sig_coeff.shape[-1] - self.n0
 
     @property
     def macro(self):
@@ -103,7 +114,7 @@ class Coupling:
     @property
     def femto(self):
         """Rows and columns of the FUs and their TR beams."""
-        return slice(self.n0, self.pl_sig_coeff.size)
+        return slice(self.n0, self.pl_sig_coeff.shape[-1])
 
     def breakdown(self, v, p0, p1, noise_power, cross_override=None):
         """Power components at victim v (MUs then FUs).
@@ -127,12 +138,14 @@ class Coupling:
                               noise=noise_power)
 
 
-def victim_sinrs(coupling, powers, noise, cross_override=None):
-    """SINR of every victim of a Coupling, the MUs then the FUs.
+def victim_terms(coupling, powers, noise, cross_override=None):
+    """(signal, rest) watts of every victim of a Coupling, MUs then FUs.
 
-    powers (R,) are the transmit powers of its beams. Beams of a victim's
-    own tier add co-tier interference, the others cross-tier interference;
-    cross_override, when given, replaces the cross-tier term at every FU.
+    powers (R,) are the transmit powers of its beams; signal is each
+    victim's power at its sampling tap, rest its ISI, co-tier, cross-tier
+    and noise power there. Beams of a victim's own tier add co-tier
+    interference, the others cross-tier interference; cross_override,
+    when given, replaces the cross-tier term at every FU.
     """
     n0 = coupling.n0
     p = np.asarray(powers, dtype=float)
@@ -144,20 +157,31 @@ def victim_sinrs(coupling, powers, noise, cross_override=None):
     if cross_override is not None:
         cross[n0:] = cross_override
     isi = p * coupling.pu_isi_coeff
-    return p * coupling.pl_sig_coeff / (isi + co + cross + noise)
+    return p * coupling.pl_sig_coeff, isi + co + cross + noise
+
+
+def victim_sinrs(coupling, powers, noise, cross_override=None):
+    """SINR of every victim of a Coupling: signal over rest (victim_terms)."""
+    signal, rest = victim_terms(coupling, powers, noise, cross_override)
+    return signal / rest
 
 
 def couple(channels, beams):
-    """Every beam of a BeamformerSet against every victim."""
-    n0 = channels.h0.shape[1]
+    """Every beam of a BeamformerSet against every victim.
+
+    Channels and beams may stack realizations along leading axes, and the
+    Coupling's arrays then stack the same way.
+    """
+    n0 = channels.h0.shape[-2]
     macro = coupling_terms(
-        beams.u, np.concatenate([channels.h0, channels.h01], axis=1),
+        beams.u, np.concatenate([channels.h0, channels.h01], axis=-2),
         beams.alpha)
     femto = coupling_terms(
-        beams.g, np.concatenate([channels.h10, channels.h1], axis=1),
+        beams.g, np.concatenate([channels.h10, channels.h1], axis=-2),
         beams.beta, first=n0)
-    return Coupling.from_energy(np.hstack([macro[0], femto[0]]),
-                                np.concatenate([macro[1], femto[1]]), n0)
+    return Coupling.from_energy(
+        np.concatenate([macro[0], femto[0]], axis=-1),
+        np.concatenate([macro[1], femto[1]], axis=-1), n0)
 
 
 def mu_breakdown(channels, beams, p0, p1, n, noise_power):

@@ -18,7 +18,7 @@ from hetnet_tr.channel import ScenarioConfig, draw_channel_set, place_nodes
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import (
     ExperimentSpec,
-    _run_trial,
+    _run_stack,
     run_experiment,
 )
 from hetnet_tr.power import (
@@ -300,8 +300,7 @@ def test_error_ball_outage_protection(capsys):
     cfg = ScenarioConfig()
     point = [{"psi": 0.04, "gamma_f_db": 2.0}]
     extra = {"error_draws": 10_000}
-    rows = [_run_trial("fu-outage", t, cfg, point, extra, 707)[0]
-            for t in range(100)]
+    rows = _run_stack("fu-outage", range(100), cfg, point, extra, 707)
     vals = [dict(r.values) for r in rows]
     feas_p = sum(v["feas_proposed"] for v in vals)
     feas_y = sum(v["feas_young"] for v in vals)
@@ -318,9 +317,9 @@ def test_error_ball_outage_protection(capsys):
     # power ordering is also checked at a target both variants can meet
     low = [{"psi": 0.04, "gamma_f_db": -6.0}]
     dom_low_total = dom_low_bad = 0
-    for t in range(100):
-        v = dict(_run_trial("fu-outage", t, cfg, low, {"error_draws": 1},
-                            707)[0].values)
+    for row in _run_stack("fu-outage", range(100), cfg, low,
+                          {"error_draws": 1}, 707):
+        v = dict(row.values)
         if v["feas_proposed"] == 1.0 and v["feas_young"] == 1.0:
             dom_low_total += 1
             if v["power_proposed_w"] > v["power_young_w"] * (1.0 + 1e-9):

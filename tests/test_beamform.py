@@ -145,9 +145,9 @@ class TestZfSelect:
         """24 filter taps cannot null 44 constraints; least-squares mode runs."""
         rng = np.random.default_rng(110)
         h = crandn(rng, 4, 4, 6)
-        with pytest.raises(InfeasibleError):
-            zf_select_cirs(h, strict=True)
-        u, alpha = zf_select_cirs(h, strict=False)
+        assert not zf_select_cirs(h, strict=True)[2]
+        u, alpha, reachable = zf_select_cirs(h, strict=False)
+        assert reachable
         assert u.shape == (4, 4, 6)
         for n in range(4):
             assert np.linalg.norm(u[:, n, :]) == pytest.approx(1.0, rel=1e-12)
@@ -174,7 +174,7 @@ class TestZfSelectMatchesLoop:
     def test_strict_on_macro_links(self):
         for seed in range(self.DRAWS):
             _, _, ch = random_scenario(1000 + seed)
-            u, alpha = zf_select_cirs(ch.h0, strict=True)
+            u, alpha, _ = zf_select_cirs(ch.h0, strict=True)
             u_ref, alpha_ref = zf_select_loop(ch.h0, strict=True)
             assert np.array_equal(alpha, alpha_ref), seed
             assert np.array_equal(u, u_ref), seed
@@ -182,7 +182,7 @@ class TestZfSelectMatchesLoop:
     def test_relaxed_on_femto_links(self):
         for seed in range(self.DRAWS):
             _, _, ch = random_scenario(1000 + seed)
-            u, alpha = zf_select_cirs(ch.h1, strict=False)
+            u, alpha, _ = zf_select_cirs(ch.h1, strict=False)
             u_ref, alpha_ref = zf_select_loop(ch.h1, strict=False)
             assert np.array_equal(alpha, alpha_ref), seed
             assert np.array_equal(u, u_ref), seed
@@ -191,10 +191,43 @@ class TestZfSelectMatchesLoop:
         rng = np.random.default_rng(116)
         for _ in range(20):
             h = crandn(rng, 4, 4, 6)
-            u, alpha = zf_select_cirs(h, strict=False)
+            u, alpha, _ = zf_select_cirs(h, strict=False)
             u_ref, alpha_ref = zf_select_loop(h, strict=False)
             assert np.array_equal(alpha, alpha_ref)
             assert np.array_equal(u, u_ref)
+
+
+class TestStackedTrials:
+    """A stack of CIR groups on a leading axis gives each slice the bits
+    of its own call."""
+
+    def test_zf_stack_matches_slices(self):
+        rng = np.random.default_rng(118)
+        for strict, (M, N, L) in ((True, (4, 2, 6)), (False, (4, 2, 6)),
+                                  (False, (3, 3, 4))):
+            h = crandn(rng, 5, M, N, L)
+            h[3] = 0.0  # no tap of this slice is reachable
+            u, alpha, reachable = zf_select_cirs(h, strict=strict)
+            assert reachable.tolist() == [True, True, True, False, True]
+            assert not u[3].any()
+            for t in (0, 1, 2, 4):
+                u_t, alpha_t, ok = zf_select_cirs(h[t], strict=strict)
+                assert ok
+                assert np.array_equal(u[t], u_t)
+                assert np.array_equal(alpha[t], alpha_t)
+
+    def test_zf_select_names_the_unreachable_user(self):
+        h0 = crandn(np.random.default_rng(119), 4, 2, 6)
+        h0[:, 1] = 0.0
+        with pytest.raises(InfeasibleError, match="user 1") as exc:
+            zf_select(channelset_from_h0(h0))
+        assert exc.value.stage == "zf"
+
+    def test_tr_stack_matches_slices(self):
+        h = crandn(np.random.default_rng(120), 2, 3, 4, 3, 6)
+        g = tr_beamformer_cirs(h)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(g[idx], tr_beamformer_cirs(h[idx]))
 
 
 class TestTimeReversal:

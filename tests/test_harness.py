@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetnet_tr.beamform import design_beamformers, tr_beamformer_cirs
+from hetnet_tr.beamform import (design_beamformers, tr_beamformer_cirs,
+                               zf_select_cirs)
 from hetnet_tr.channel import ScenarioConfig
 from hetnet_tr.errors import ConfigError, InfeasibleError
 from hetnet_tr import harness
@@ -21,7 +22,7 @@ from hetnet_tr.harness import (
     _ball_statistics,
     _draw_scenario,
     _robust_designs,
-    _run_trial,
+    _run_stack,
     _worker_count,
     run_experiment,
 )
@@ -138,7 +139,7 @@ class TestRegistry:
 class TestTrialFunctions:
     def test_power_compare_values(self):
         cfg = ScenarioConfig()
-        rows = _run_trial("power-compare", 0, cfg,
+        rows = _run_stack("power-compare", [0], cfg,
                           [{"gamma_m_db": 1.0, "gamma_f_db": 2.0}], {}, 5)
         assert len(rows) == 1
         v = dict(rows[0].values)
@@ -149,13 +150,13 @@ class TestTrialFunctions:
     def test_power_compare_infeasible_is_nan(self):
         # gamma_f far above what any 4x2 femto draw supports
         cfg = ScenarioConfig()
-        rows = _run_trial("power-compare", 0, cfg,
+        rows = _run_stack("power-compare", [0], cfg,
                           [{"gamma_m_db": 1.0, "gamma_f_db": 14.0}], {}, 5)
         assert not rows[0].feasible
         assert all(math.isnan(val) for _, val in rows[0].values)
 
     def test_mu_outage_zero_at_convergence(self):
-        rows = _run_trial("mu-outage", 0, ScenarioConfig(),
+        rows = _run_stack("mu-outage", [0], ScenarioConfig(),
                           [{"gamma_m_db": 1.0}], {}, 5)
         v = dict(rows[0].values)
         assert rows[0].feasible
@@ -164,7 +165,7 @@ class TestTrialFunctions:
     def test_tr_vs_zf_zf_slope_is_linear(self):
         """Exact interference nulling makes the ZF curve 1 dB per dBm."""
         cfg = ScenarioConfig()
-        rows = _run_trial("tr-vs-zf", 0, cfg,
+        rows = _run_stack("tr-vs-zf", [0], cfg,
                           [{"p_dbm": 20.0}, {"p_dbm": 30.0}], {}, 5)
         zf20 = dict(rows[0].values)["sinr_zf_db"]
         zf30 = dict(rows[1].values)["sinr_zf_db"]
@@ -173,14 +174,14 @@ class TestTrialFunctions:
 
     def test_tr_vs_zf_tr_saturates(self):
         cfg = ScenarioConfig()
-        rows = _run_trial("tr-vs-zf", 0, cfg,
+        rows = _run_stack("tr-vs-zf", [0], cfg,
                           [{"p_dbm": 30.0}, {"p_dbm": 60.0}], {}, 5)
         tr30 = dict(rows[0].values)["sinr_tr_db"]
         tr60 = dict(rows[1].values)["sinr_tr_db"]
         assert tr60 - tr30 < 10.0
 
     def test_bound_tightness_ordering(self):
-        rows = _run_trial("bound-tightness", 0, ScenarioConfig(),
+        rows = _run_stack("bound-tightness", [0], ScenarioConfig(),
                           [{"psi": 0.05}, {"psi": 0.1}], {}, 7)
         for r in rows:
             v = dict(r.values)
@@ -192,7 +193,7 @@ class TestTrialFunctions:
 
     def test_fu_outage_columns(self):
         cfg = ScenarioConfig()
-        rows = _run_trial("fu-outage", 0, cfg,
+        rows = _run_stack("fu-outage", [0], cfg,
                           [{"psi": 0.04, "gamma_f_db": -6.0}],
                           {"error_draws": 40}, 5)
         v = dict(rows[0].values)
@@ -208,7 +209,7 @@ class TestTrialFunctions:
 
     def test_robust_power_feasibility_flags(self):
         cfg = ScenarioConfig()
-        rows = _run_trial("robust-power", 2, cfg,
+        rows = _run_stack("robust-power", [2], cfg,
                           [{"psi": 0.04, "gamma_f_db": -6.0}], {}, 5)
         v = dict(rows[0].values)
         assert rows[0].feasible == all(
@@ -216,11 +217,71 @@ class TestTrialFunctions:
 
     def test_robust_power_psi_zero_matches_nominal(self):
         cfg = ScenarioConfig()
-        rows = _run_trial("robust-power", 0, cfg,
+        rows = _run_stack("robust-power", [0], cfg,
                           [{"psi": 0.0, "gamma_f_db": 2.0}], {}, 5)
         v = dict(rows[0].values)
         assert v["feas_nonrobust"] == 1.0 and v["feas_proposed"] == 1.0
         assert v["power_proposed_w"] == v["power_nonrobust_w"]
+
+
+def log_mean_sinr_db(filters, h1, taps, power, cfg):
+    """10 log10 of the mean SINR over the FUs of a single tier at one power,
+    against the tolerated cross-tier floor: every response by np.convolve,
+    every SINR as a natural log, and the mean as a shifted log-sum-exp."""
+    M, n1, _ = h1.shape
+    taps = np.broadcast_to(taps, (n1,))
+    logs = []
+    for j in range(n1):
+        energy = []
+        for k in range(n1):
+            r = sum(np.convolve(filters[m, k], h1[m, j]) for m in range(M))
+            energy.append(float(np.sum(np.abs(r) ** 2)))
+            if k == j:
+                signal = abs(r[taps[j] - 1]) ** 2
+        rest = power * (sum(energy) - signal) + cfg.p_tol + cfg.noise_power
+        logs.append(math.log(power * signal) - math.log(rest))
+    top = max(logs)
+    mean = top + math.log(sum(math.exp(x - top) for x in logs) / n1)
+    return 10.0 * mean / math.log(10.0)
+
+
+class TestLogDomainSinr:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tr_vs_zf_sinr_below_the_double_range(self, tmp_path):
+        """With 1e300 W of noise and a femto path-loss exponent of 20 every
+        FU's SINR underflows a double; each cell is still the finite mean
+        SINR in dB, taken in the log domain."""
+        cfg = ScenarioConfig(noise_power=1e300, exp_femto=20.0)
+        spec = spec_for("tr-vs-zf", tmp_path, trials=2,
+                        sweep={"p_dbm": (10.0, 40.0)})
+        rows = run_experiment(spec, cfg)
+        assert all(r.feasible for r in rows)
+        for row in rows:
+            channels, _ = _draw_scenario(cfg, spec.seed, row.trial)
+            h1 = channels.h1
+            power = 10.0 ** ((dict(row.sweep)["p_dbm"] - 30.0) / 10.0)
+            u_zf, taps_zf, _ = zf_select_cirs(h1, strict=False)
+            v = dict(row.values)
+            for key, filters, taps in (
+                    ("sinr_tr_db", tr_beamformer_cirs(h1), cfg.taps),
+                    ("sinr_zf_db", u_zf, taps_zf)):
+                want = log_mean_sinr_db(filters, h1, taps, power, cfg)
+                assert v[key] < -3000.0
+                assert v[key] == pytest.approx(want, rel=1e-12), key
+
+    def test_default_cells_are_the_mean_sinr(self):
+        """Where the SINRs are ordinary doubles the log-domain cells equal
+        10 log10 of their plain mean to 1e-12."""
+        cfg = ScenarioConfig()
+        points = [{"p_dbm": 10.0}, {"p_dbm": 40.0}]
+        for row in _run_stack("tr-vs-zf", range(4), cfg, points, {}, 5):
+            channels, _ = _draw_scenario(cfg, 5, row.trial)
+            h1 = channels.h1
+            power = 10.0 ** ((dict(row.sweep)["p_dbm"] - 30.0) / 10.0)
+            g = tr_beamformer_cirs(h1)
+            want = log_mean_sinr_db(g, h1, cfg.taps, power, cfg)
+            assert dict(row.values)["sinr_tr_db"] == pytest.approx(
+                want, rel=1e-12)
 
 
 class TestRobustStacks:
@@ -237,7 +298,7 @@ class TestRobustStacks:
         channels, _ = _draw_scenario(cfg, 5, 1)
         g = tr_beamformer_cirs(channels.h1)
         points = [{"psi": psi, "gamma_f_db": -6.0} for psi in (0.0, 0.04)]
-        rows = _run_trial("robust-power", 1, cfg, points, {}, 5)
+        rows = _run_stack("robust-power", [1], cfg, points, {}, 5)
         for pt, row in zip(points, rows):
             v = dict(row.values)
             for variant in ("proposed", "young"):
@@ -266,7 +327,7 @@ class TestRobustStacks:
         monkeypatch.setattr(harness, "assemble_bounds", counting)
         points = [{"psi": psi, "gamma_f_db": gf}
                   for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
-        _run_trial("fu-outage", 0, ScenarioConfig(), points,
+        _run_stack("fu-outage", [0], ScenarioConfig(), points,
                    {"error_draws": 5}, 5)
         # the non-robust design's psi = 0 stack is built once per trial
         assert sorted(calls) == [(0.0, None),
@@ -534,16 +595,36 @@ class TestRunExperiment:
         infeasible instead of losing the run."""
         import hetnet_tr.harness as harness
 
-        def no_tap(channels):
-            raise InfeasibleError("zf", "no reachable tap for user 0")
+        def no_tap(h, strict=True):
+            u, alpha, reachable = zf_select_cirs(h, strict)
+            return u, alpha, np.zeros_like(reachable)
 
-        monkeypatch.setattr(harness, "design_beamformers", no_tap)
+        monkeypatch.setattr(harness, "zf_select_cirs", no_tap)
         monkeypatch.setenv("HETNET_TR_THREADS", "1")
         cfg = ScenarioConfig()
         spec = spec_for(name, tmp_path, trials=2)
         rows = run_experiment(spec, cfg)
         assert len(rows) == 2 * len(spec.sweep_points())
         assert not any(r.feasible for r in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["power-compare", "mu-outage"])
+    def test_overflowing_cross_report_gives_infeasible_rows(self, tmp_path,
+                                                            name):
+        """At p_tol = 3000 dBm the femto powers solve, but their cross-tier
+        report overflows a double: the macro stage is infeasible, and
+        every row says so without an overflow warning."""
+        cfg = ScenarioConfig(p_tol_dbm=3000.0, exp_femto=-10.0,
+                             exp_cross=-20.0)
+        spec = spec_for(name, tmp_path)
+        rows = run_experiment(spec, cfg)
+        assert len(rows) == 2 * len(spec.sweep_points())
+        assert not any(r.feasible for r in rows)
+        channels, _ = _draw_scenario(cfg, spec.seed, 0)
+        with pytest.raises(InfeasibleError, match="cross-tier") as exc:
+            solve_proposed(channels, cfg.gamma_m, cfg.gamma_f, cfg.p_tol,
+                           cfg.noise_power)
+        assert exc.value.stage == "macro"
 
     def test_summary_recomputes_from_trial_rows(self, tmp_path):
         cfg = ScenarioConfig()
@@ -587,3 +668,78 @@ class TestRunExperiment:
         spec = spec_for("nope", tmp_path)
         with pytest.raises(ConfigError):
             run_experiment(spec, cfg)
+
+
+# small sweeps per experiment for the stack properties
+STACK_RUNS = {
+    "power-compare": {"gamma_m_db": (-1.0, 1.0), "gamma_f_db": (0.0, 2.0)},
+    "mu-outage": {"gamma_m_db": (0.0, 2.0)},
+    "tr-vs-zf": {"p_dbm": (20.0, 30.0)},
+    "bound-tightness": {"psi": (0.05,)},
+    "fu-outage": {"psi": (0.04,), "gamma_f_db": (-6.0, 0.0)},
+    "robust-power": {"psi": (0.0, 0.04), "gamma_f_db": (-6.0,)},
+}
+
+
+def stack_points(name):
+    return ExperimentSpec(name=name, trials=1, sweep=STACK_RUNS[name],
+                          seed=0, output_path="unused").sweep_points()
+
+
+class TestStacks:
+    _alone = {}
+
+    def alone(self, name, trial):
+        """The rows of a trial run as a one-trial stack."""
+        key = name, trial
+        if key not in self._alone:
+            self._alone[key] = _run_stack(
+                name, [trial], ScenarioConfig(), stack_points(name),
+                {"error_draws": 20}, 12345)
+        return self._alone[key]
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_stacks(self, name, data):
+        """Any run of consecutive trials, cut into stacks anywhere, gives
+        every trial the rows of its one-trial stack, bit for bit."""
+        first = data.draw(st.integers(0, 16), label="first")
+        count = data.draw(st.integers(1, 11), label="trials")
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))
+                                if count > 1 else st.just(set()),
+                                label="cuts"))
+        bounds = [first, *(first + c for c in cuts), first + count]
+        rows = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows += _run_stack(name, range(lo, hi), ScenarioConfig(),
+                               stack_points(name), {"error_draws": 20},
+                               12345)
+        want = [r for t in range(first, first + count)
+                for r in self.alone(name, t)]
+        assert repr(rows) == repr(want)
+
+    @pytest.mark.parametrize("name", ["power-compare", "mu-outage"])
+    def test_unreachable_zf_trial_inside_a_solving_stack(self, monkeypatch,
+                                                         name):
+        """Trial 2 of a four-trial stack gets an all-zero macro channel, so
+        no MU tap is reachable: its rows are infeasible, and the other
+        trials keep the feasible rows of their one-trial stacks."""
+        alone = {t: self.alone(name, t) for t in (0, 1, 3)}
+        assert all(r.feasible for t in alone for r in alone[t])
+        draw = harness._draw_scenario
+
+        def silent_macro(cfg, seed, trial):
+            channels, rng = draw(cfg, seed, trial)
+            if trial == 2:
+                channels.h0[...] = 0.0
+            return channels, rng
+
+        monkeypatch.setattr(harness, "_draw_scenario", silent_macro)
+        points = stack_points(name)
+        rows = _run_stack(name, range(4), ScenarioConfig(), points,
+                          {"error_draws": 20}, 12345)
+        n = len(points)
+        assert not any(r.feasible for r in rows[2 * n:3 * n])
+        assert repr(rows[:2 * n] + rows[3 * n:]) == repr(
+            alone[0] + alone[1] + alone[3])

@@ -96,6 +96,17 @@ class TestConvolve:
         np.testing.assert_array_equal(responses(filters, cirs[:, 1:3]),
                                       stacked[1:3])
 
+    @pytest.mark.parametrize("V", [1, 2, 4])
+    def test_slices_do_not_depend_on_the_trial_stack(self, V):
+        """Leading stack axes give each slice the bits of its own call."""
+        rng = np.random.default_rng([V, 7])
+        filters, cirs = crandn(rng, 2, 3, 4, 2, 6), crandn(rng, 2, 3, 4, V, 6)
+        stacked = responses(filters, cirs)
+        assert stacked.shape == (2, 3, V, 2, 11)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(
+                responses(filters[idx], cirs[idx]), stacked[idx])
+
     @pytest.mark.parametrize("M,K,L", [(1, 1, 1), (2, 3, 4), (4, 2, 6)])
     def test_real_map_is_the_product_in_real_arithmetic(self, M, K, L):
         """Taps laid out real then imaginary per antenna, times the real

@@ -384,6 +384,18 @@ class TestCrossReport:
                            np.array([3.0]))
         assert rep == pytest.approx([3.0, 3.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stage", ["macro", "centralized"])
+    def test_overflowing_report_is_infeasible(self, stage):
+        """A report beyond the double range raises the stage it serves,
+        without an overflow warning; a large finite one is returned."""
+        coupling = Coupling(np.ones(2), np.zeros(2),
+                            np.array([[0.0, 4.0], [4.0, 0.0]]), n0=1)
+        assert cross_report(coupling, np.array([1e307]), stage) == [4e307]
+        with pytest.raises(InfeasibleError, match="cross-tier report") as exc:
+            cross_report(coupling, np.array([1e308]), stage)
+        assert exc.value.stage == stage
+
 
 def synthetic_instances(rng, count, n, max_load=0.8):
     """Random (delta, nabla, gamma) with gamma*delta bounded below one."""

@@ -175,6 +175,28 @@ class TestCouplingTerms:
                             err_msg=f"draw {draw}")
 
 
+class TestStackedCoupling:
+    def test_stack_unstacks_into_each_realization(self):
+        """couple() of stacked ChannelSets and beams gives, slice by
+        slice, the bits of each realization's own coupling."""
+        designed = [designed_scenario(seed, n1=3)[2:] for seed in range(5)]
+        channels = [ch for ch, _ in designed]
+        stack = ChannelSet.stack(channels)
+        beams = BeamformerSet(
+            u=np.stack([b.u for _, b in designed]),
+            alpha=np.stack([b.alpha for _, b in designed]),
+            g=np.stack([b.g for _, b in designed]), beta=stack.taps)
+        stacked = couple(stack, beams)
+        assert stacked.n1 == 3
+        for (ch, b), got in zip(designed, stacked.unstack()):
+            want = couple(ch, b)
+            assert got.n0 == want.n0 == 2
+            for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field))
+                assert not getattr(got, field).flags.writeable
+
+
 class TestVictimSinrs:
     """The array SINRs against the per-victim breakdown, victim by victim."""
 
