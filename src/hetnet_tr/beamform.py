@@ -23,7 +23,10 @@ _ZF_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Both tiers' filters plus the sampling taps they were built for."""
+    """Both tiers' filters plus the sampling taps they were built for.
+
+    The arrays may stack realizations along leading axes (sinr.couple).
+    """
 
     u: np.ndarray        # (M0, N0, L) macro ZF filters
     alpha: np.ndarray    # (N0,) selected MU taps, 1-based

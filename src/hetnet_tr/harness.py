@@ -16,6 +16,7 @@ an experiment on more than one worker needs an
 `if __name__ == "__main__":` guard.
 """
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -207,7 +208,8 @@ def _tr_vs_zf_step(state, pt, cfg):
     tr, zf = state
     powers = np.full(tr.n1, _db(pt["p_dbm"] - 30.0))  # dBm to W
     # dB per trial so the summary mean is tail-robust (geometric)
-    return (_mean_sinr_db(tr, powers, cfg), _mean_sinr_db(zf, powers, cfg)), True
+    return (_mean_sinr_db(tr, powers, cfg),
+            _mean_sinr_db(zf, powers, cfg)), True
 
 
 def _bound_tightness_setup(channels, rngs, cfg, extra):
@@ -228,10 +230,10 @@ def _bound_tightness_step(state, pt, cfg):
 
 def _robust_setup(channels, rngs, cfg, extra):
     """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
-    return [(ch, g, assemble_bounds(ch, g, 0.0, cfg.p_tol, cfg.noise_power),
-             rng, extra, {})
-            for ch, g, rng in zip(channels, tr_beamformer_cirs(
-                _h1_stack(channels)), rngs)]
+    g = tr_beamformer_cirs(_h1_stack(channels))
+    return [(ch, g_t, assemble_bounds(ch, g_t, 0.0, cfg.p_tol,
+                                      cfg.noise_power), rng, extra, {})
+            for ch, g_t, rng in zip(channels, g, rngs)]
 
 
 def _robust_point(state, pt, cfg, ball):
@@ -418,12 +420,6 @@ EXPERIMENTS = tuple(_REGISTRY)
 # ---------------------------------------------------------------------------
 # runner and CSV emission
 
-def _stacks(trials):
-    """Consecutive trial ids in stacks of _STACK, the last one shorter."""
-    return [range(first, min(first + _STACK, trials))
-            for first in range(0, trials, _STACK)]
-
-
 def _run_stack(name, trials, cfg, points, extra, seed):
     """Every TrialRecord of a stack of trials, in trial then point order.
 
@@ -523,20 +519,20 @@ def run_experiment(spec, config, error_draws=10_000):
     spec.validate()
     config.validate()
     points = spec.sweep_points()
-    extra = {"error_draws": int(error_draws)}
-    stacks = _stacks(spec.trials)
+    run = functools.partial(_run_stack, spec.name, cfg=config, points=points,
+                            extra={"error_draws": int(error_draws)},
+                            seed=spec.seed)
+    # consecutive trials in stacks of _STACK, the last one shorter
+    stacks = [range(first, min(first + _STACK, spec.trials))
+              for first in range(0, spec.trials, _STACK)]
     workers = min(_worker_count(), spec.trials)
     if workers == 1:
-        batches = [_run_stack(spec.name, trials, config, points, extra,
-                              spec.seed) for trials in stacks]
+        batches = map(run, stacks)
     else:
-        n = len(stacks)
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(workers, n),
+        with ProcessPoolExecutor(max_workers=min(workers, len(stacks)),
                                  mp_context=spawn) as pool:
-            batches = list(pool.map(
-                _run_stack, [spec.name] * n, stacks, [config] * n,
-                [points] * n, [extra] * n, [spec.seed] * n))
+            batches = list(pool.map(run, stacks))
     rows = [r for batch in batches for r in batch]
     _emit_csv(spec.output_path, spec.name, points, rows)
     return rows
