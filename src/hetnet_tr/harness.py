@@ -194,14 +194,18 @@ def _mean_sinr_db(coupling, powers, cfg):
     """10 log10 of the mean SINR over a single tier's victims, against the
     tolerated cross-tier floor.
 
-    Taken in the log domain, log10 of each signal minus log10 of the rest,
-    and averaged shifted by the largest: an SINR below the double range
-    keeps its finite dB value instead of underflowing to -inf.
+    Each SINR is split exactly into a mantissa ratio and a power of two,
+    signal/rest = (ms/mr) 2^e (np.frexp). While every |e| <= 1000 that is
+    the plain mean of the SINRs. Beyond, the SINRs are scaled by 2^-max(e)
+    and the shift is added back in dB, so an SINR outside the double range
+    keeps a finite cell instead of -inf.
     """
     signal, rest = victim_terms(coupling, powers, cfg.noise_power, cfg.p_tol)
-    log = np.log10(signal) - np.log10(rest)
-    top = log.max()
-    return float(10.0 * (top + np.log10(np.mean(10.0 ** (log - top)))))
+    (ms, es), (mr, er) = np.frexp(signal), np.frexp(rest)
+    exp = es - er
+    shift = int(exp.max()) if np.abs(exp).max() > 1000 else 0
+    mean = np.mean(np.ldexp(ms / mr, exp - shift))
+    return float(10.0 * (np.log10(mean) + shift * np.log10(2.0)))
 
 
 def _tr_vs_zf_step(state, pt, cfg):

@@ -224,13 +224,13 @@ class TestTrialFunctions:
         assert v["power_proposed_w"] == v["power_nonrobust_w"]
 
 
-def log_mean_sinr_db(filters, h1, taps, power, cfg):
-    """10 log10 of the mean SINR over the FUs of a single tier at one power,
-    against the tolerated cross-tier floor: every response by np.convolve,
-    every SINR as a natural log, and the mean as a shifted log-sum-exp."""
+def fu_sinr_terms(filters, h1, taps, power, cfg):
+    """(signal, rest) watts of each FU of a single tier at one power,
+    against the tolerated cross-tier floor, every response by
+    np.convolve."""
     M, n1, _ = h1.shape
     taps = np.broadcast_to(taps, (n1,))
-    logs = []
+    terms = []
     for j in range(n1):
         energy = []
         for k in range(n1):
@@ -239,9 +239,16 @@ def log_mean_sinr_db(filters, h1, taps, power, cfg):
             if k == j:
                 signal = abs(r[taps[j] - 1]) ** 2
         rest = power * (sum(energy) - signal) + cfg.p_tol + cfg.noise_power
-        logs.append(math.log(power * signal) - math.log(rest))
+        terms.append((power * signal, rest))
+    return terms
+
+
+def log_mean_sinr_db(terms):
+    """10 log10 of the mean of signal/rest, as a shifted log-sum-exp of
+    natural logs."""
+    logs = [math.log(signal) - math.log(rest) for signal, rest in terms]
     top = max(logs)
-    mean = top + math.log(sum(math.exp(x - top) for x in logs) / n1)
+    mean = top + math.log(sum(math.exp(x - top) for x in logs) / len(logs))
     return 10.0 * mean / math.log(10.0)
 
 
@@ -265,23 +272,25 @@ class TestLogDomainSinr:
             for key, filters, taps in (
                     ("sinr_tr_db", tr_beamformer_cirs(h1), cfg.taps),
                     ("sinr_zf_db", u_zf, taps_zf)):
-                want = log_mean_sinr_db(filters, h1, taps, power, cfg)
+                want = log_mean_sinr_db(
+                    fu_sinr_terms(filters, h1, taps, power, cfg))
                 assert v[key] < -3000.0
                 assert v[key] == pytest.approx(want, rel=1e-12), key
 
     def test_default_cells_are_the_mean_sinr(self):
-        """Where the SINRs are ordinary doubles the log-domain cells equal
-        10 log10 of their plain mean to 1e-12."""
+        """Where the SINRs are ordinary doubles each cell is 10 log10 of
+        their plain mean, to 1e-12 relative or 1e-12 dB."""
         cfg = ScenarioConfig()
         points = [{"p_dbm": 10.0}, {"p_dbm": 40.0}]
         for row in _run_stack("tr-vs-zf", range(4), cfg, points, {}, 5):
             channels, _ = _draw_scenario(cfg, 5, row.trial)
             h1 = channels.h1
             power = 10.0 ** ((dict(row.sweep)["p_dbm"] - 30.0) / 10.0)
-            g = tr_beamformer_cirs(h1)
-            want = log_mean_sinr_db(g, h1, cfg.taps, power, cfg)
+            terms = fu_sinr_terms(tr_beamformer_cirs(h1), h1, cfg.taps,
+                                  power, cfg)
+            want = 10.0 * math.log10(np.mean([s / r for s, r in terms]))
             assert dict(row.values)["sinr_tr_db"] == pytest.approx(
-                want, rel=1e-12)
+                want, rel=1e-12, abs=1e-12)
 
 
 class TestRobustStacks:
