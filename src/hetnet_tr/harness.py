@@ -141,10 +141,6 @@ _STACK = 8
 # ---------------------------------------------------------------------------
 # experiments: per-stack setups, per-point steps and the registry
 
-def _h1_stack(channels):
-    return np.stack([ch.h1 for ch in channels])
-
-
 def _nominal_setup(channels, rngs, cfg, extra):
     """Beams and their full coupling; neither depends on the SINR targets.
 
@@ -181,7 +177,7 @@ def _mu_outage_step(state, pt, cfg):
 
 def _tr_vs_zf_setup(channels, rngs, cfg, extra):
     """Single-tier couplings of the TR and the (non-strict) ZF beams."""
-    h1 = _h1_stack(channels)
+    h1 = ChannelSet.stack(channels).h1
     tr = Coupling.from_energy(
         *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
     u_zf, taps_zf, reachable = zf_select_cirs(h1, strict=False)
@@ -218,7 +214,7 @@ def _tr_vs_zf_step(state, pt, cfg):
 
 def _bound_tightness_setup(channels, rngs, cfg, extra):
     """FU 0's TR beam and estimated channel, and the oracle's generator."""
-    g = tr_beamformer_cirs(_h1_stack(channels))[..., 0, :]
+    g = tr_beamformer_cirs(ChannelSet.stack(channels).h1)[..., 0, :]
     return [(g_t, ch.h1[:, 0, :], rng)
             for g_t, ch, rng in zip(g, channels, rngs)]
 
@@ -234,7 +230,7 @@ def _bound_tightness_step(state, pt, cfg):
 
 def _robust_setup(channels, rngs, cfg, extra):
     """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
-    g = tr_beamformer_cirs(_h1_stack(channels))
+    g = tr_beamformer_cirs(ChannelSet.stack(channels).h1)
     return [(ch, g_t, assemble_bounds(ch, g_t, 0.0, cfg.p_tol,
                                       cfg.noise_power), rng, extra, {})
             for ch, g_t, rng in zip(channels, g, rngs)]
