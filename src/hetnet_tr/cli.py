@@ -13,11 +13,13 @@ import sys
 
 import numpy as np
 
+from .beamform import design_beamformers
 from .channel import draw_channel_set, place_nodes
 from .config import load_config
 from .errors import ConfigError, InfeasibleError, NumericalError
 from .harness import EXPERIMENTS, ExperimentSpec, run_experiment
 from .power import solve_proposed
+from .sinr import couple, victim_sinrs
 
 
 def _parse_sweep(items):
@@ -88,13 +90,16 @@ def _cmd_validate(args):
     rng = np.random.default_rng(cfg.seed)
     geometry = place_nodes(cfg, rng)
     channels = draw_channel_set(cfg, geometry, rng)
+    coupling = couple(channels, design_beamformers(channels))
     result = solve_proposed(channels, cfg.gamma_m, cfg.gamma_f, cfg.p_tol,
-                            cfg.noise_power)
+                            cfg.noise_power, coupling=coupling)
+    sinrs = victim_sinrs(coupling, np.concatenate([result.p0, result.p1]),
+                         cfg.noise_power, cross_override=cfg.p_tol)
     print(f"config ok: scenario {cfg.m0}x{cfg.n0} macro / {cfg.m1}x{cfg.n1} "
           f"femto, seed {cfg.seed}")
     print(f"nominal allocation: total power {float(result.total_power):.6e} W, "
-          f"min MU SINR {float(np.min(result.sinr_mu)):.4f}, "
-          f"min FU SINR {float(np.min(result.sinr_fu)):.4f}")
+          f"min MU SINR {float(np.min(sinrs[coupling.macro])):.4f}, "
+          f"min FU SINR {float(np.min(sinrs[coupling.femto])):.4f}")
     return 0
 
 

@@ -28,17 +28,15 @@ import numpy as np
 from .beamform import BeamformerSet, tr_beamformer_cirs, zf_select_cirs
 from .channel import ChannelSet, draw_channel_set, place_nodes
 from .errors import ConfigError, InfeasibleError
-from .linops import real_response_map
 from .power import solve_centralized, solve_proposed
 from .robust import (
-    _ball,
-    _ball_steps,
     assemble_bounds,
+    ball_statistics,
     link_bounds,
     solve_robust,
     worst_case_oracle,
 )
-from .sinr import Coupling, couple, coupling_terms, victim_terms
+from .sinr import Coupling, couple, coupling_terms, victim_sinrs, victim_terms
 
 
 _SWEEP_RANGES = {
@@ -170,16 +168,24 @@ def _mu_outage_step(state, pt, cfg):
     gm = _db(pt["gamma_m_db"])
     prop = solve_proposed(channels, gm, cfg.gamma_f, cfg.p_tol,
                           cfg.noise_power, coupling=coupling)
+    sinrs = victim_sinrs(coupling, np.concatenate([prop.p0, prop.p1]),
+                         cfg.noise_power, cross_override=cfg.p_tol)
     # the slack absorbs rounding: solved SINRs meet their target with equality
-    outage = float(np.mean(prop.sinr_mu < gm * (1.0 - 1e-6)))
+    outage = float(np.mean(sinrs[coupling.macro] < gm * (1.0 - 1e-6)))
     return (outage, float(prop.total_power)), True
+
+
+def _tr_tier(h1, cfg):
+    """(g, coupling): the TR beams of stacked FU channels h1 and their
+    exact single-tier Coupling, stacked the same way."""
+    g = tr_beamformer_cirs(h1)
+    return g, Coupling.from_energy(*coupling_terms(g, h1, cfg.taps))
 
 
 def _tr_vs_zf_setup(channels, rngs, cfg, extra):
     """Single-tier couplings of the TR and the (non-strict) ZF beams."""
     h1 = ChannelSet.stack(channels).h1
-    tr = Coupling.from_energy(
-        *coupling_terms(tr_beamformer_cirs(h1), h1, cfg.taps))
+    _, tr = _tr_tier(h1, cfg)
     u_zf, taps_zf, reachable = zf_select_cirs(h1, strict=False)
     zf = Coupling.from_energy(*coupling_terms(u_zf, h1, taps_zf))
     return [(t, z) if ok else None
@@ -230,10 +236,9 @@ def _bound_tightness_step(state, pt, cfg):
 
 def _robust_setup(channels, rngs, cfg, extra):
     """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
-    g = tr_beamformer_cirs(ChannelSet.stack(channels).h1)
-    return [(ch, g_t, assemble_bounds(ch, g_t, 0.0, cfg.p_tol,
-                                      cfg.noise_power), rng, extra, {})
-            for ch, g_t, rng in zip(channels, g, rngs)]
+    g, nominal = _tr_tier(ChannelSet.stack(channels).h1, cfg)
+    return [(ch, g_t, nom, rng, extra, {}) for ch, g_t, nom, rng in zip(
+        channels, g, nominal.unstack(), rngs)]
 
 
 def _robust_point(state, pt, cfg, ball):
@@ -248,8 +253,8 @@ def _robust_point(state, pt, cfg, ball):
     if psi not in cache:
         stats = None
         if ball:
-            stats = _ball_statistics(channels.h1, g, psi, rng,
-                                     int(extra["error_draws"]))
+            stats = ball_statistics(channels.h1, g, psi, rng,
+                                    int(extra["error_draws"]))
         cache[psi] = stats, {
             variant: assemble_bounds(channels, g, psi, cfg.p_tol,
                                      cfg.noise_power, variant=variant)
@@ -284,39 +289,10 @@ def _design_row(designs):
     return (*powers, *(1.0 if ok else 0.0 for ok in solved)), all(solved)
 
 
-def _ball_statistics(h1, g, psi, rng, draws):
-    """(tot, main) of every TR beam over each FU's sampled true channels.
-
-    Responses are linear in the channel: on a draw they are the responses
-    at the ball center minus the draw's real step (robust._ball_steps)
-    times linops.real_response_map. So one real product per FU gives every
-    beam's response on every draw, and no complex true channel is formed.
-    tot[j, p, k] is beam k's response energy on FU j's draw p and
-    main[j, p] the power of FU j's own beam at the central tap there.
-    """
-    _, n1, taps = g.shape
-    conv = real_response_map(g)
-    centers, _ = _ball(h1, psi)
-    at_center = np.concatenate([centers.real, centers.imag], axis=-1)
-    at_center = at_center.transpose(1, 0, 2).reshape(n1, -1) @ conv
-    tot = np.empty((n1, draws, n1))
-    main = np.empty((n1, draws))
-    for j in range(n1):
-        steps = _ball_steps(h1[:, j, :], psi, rng, draws)
-        energy = steps.reshape(draws, -1) @ conv
-        energy -= at_center[j]  # the negated responses: squared alike
-        np.square(energy, out=energy)
-        energy = energy.reshape(draws, n1, -1)
-        np.einsum("pkt->pk", energy, out=tot[j])
-        np.add(energy[:, j, 2 * taps - 2], energy[:, j, 2 * taps - 1],
-               out=main[j])
-    return tot, main
-
-
 def _ball_outages(tot, main, designs, gamma_f, floor):
     """Each design's fraction of (FU, draw) pairs below the SINR target.
 
-    tot and main are _ball_statistics; a design that did not solve scores
+    tot and main are ball_statistics; a design that did not solve scores
     nan. Every solved design, FU and draw is scored in one array
     expression, with powers in units of the floor. That leaves every SINR
     unchanged and keeps powers near the top of the double range from
@@ -525,13 +501,12 @@ def run_experiment(spec, config, error_draws=10_000):
     # consecutive trials in stacks of _STACK, the last one shorter
     stacks = [range(first, min(first + _STACK, spec.trials))
               for first in range(0, spec.trials, _STACK)]
-    workers = min(_worker_count(), spec.trials)
+    workers = min(_worker_count(), len(stacks))
     if workers == 1:
         batches = map(run, stacks)
     else:
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(workers, len(stacks)),
-                                 mp_context=spawn) as pool:
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             batches = list(pool.map(run, stacks))
     rows = [r for batch in batches for r in batch]
     _emit_csv(spec.output_path, spec.name, points, rows)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .beamform import design_beamformers
 from .errors import InfeasibleError, NumericalError
-from .sinr import Coupling, couple, victim_sinrs
+from .sinr import Coupling, couple
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,10 @@ class MacroStats:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Joint outcome of one realization's power allocation."""
+    """MU and FU powers of one realization's allocation, and their total."""
 
     p0: np.ndarray
     p1: np.ndarray
-    sinr_mu: np.ndarray
-    sinr_fu: np.ndarray
-    cross_report: np.ndarray
     total_power: float
 
 
@@ -109,17 +106,17 @@ def solve_femto(stack, gamma_f, p_tol, noise):
     return solve_fixed_point(stack, gamma_f, p_tol + noise, "femto")
 
 
-def cross_report(coupling, p1, stage="macro"):
+def cross_report(coupling, p1):
     """Cross-tier interference each MU receives from the femto allocation.
 
     These N0 scalars are the only femto-side quantities the macro tier
-    sees. A report that overflows a double raises InfeasibleError(stage).
+    sees. A report that overflows a double raises InfeasibleError("macro").
     """
     co = coupling.pu_co_coeff[:coupling.n0, coupling.femto]
     with np.errstate(over="ignore"):
         report = (co * p1).sum(axis=1)
     if not np.isfinite(report).all():
-        raise InfeasibleError(stage, "the cross-tier report overflows a "
+        raise InfeasibleError("macro", "the cross-tier report overflows a "
                               "double")
     return report
 
@@ -186,12 +183,8 @@ def solve_centralized(coupling, gamma_m, gamma_f, noise):
         np.broadcast_to(np.asarray(gamma_f, dtype=float), (coupling.n1,)),
     ])
     p = solve_fixed_point(coupling, gamma, noise, "centralized")
-    total = checked_total("centralized", p)
-    s = victim_sinrs(coupling, p, noise)
-    return AllocationResult(
-        p0=p[mu], p1=p[fu], sinr_mu=s[mu], sinr_fu=s[fu],
-        cross_report=cross_report(coupling, p[fu], "centralized"),
-        total_power=total)
+    return AllocationResult(p0=p[mu], p1=p[fu],
+                            total_power=checked_total("centralized", p))
 
 
 def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
@@ -211,9 +204,5 @@ def solve_proposed(channels, gamma_m, gamma_f, p_tol, noise, coupling=None):
     p1 = solve_femto(build_femto_lp(coupling), gamma_f, p_tol, noise)
     cross = cross_report(coupling, p1)
     p0, _ = solve_macro(coupling, gamma_m, p_tol, cross, noise)
-    total = checked_total("macro", p0, p1)
-    s = victim_sinrs(coupling, np.concatenate([p0, p1]), noise,
-                     cross_override=p_tol)
-    return AllocationResult(
-        p0=p0, p1=p1, sinr_mu=s[:coupling.n0], sinr_fu=s[coupling.n0:],
-        cross_report=cross, total_power=total)
+    return AllocationResult(p0=p0, p1=p1,
+                            total_power=checked_total("macro", p0, p1))

@@ -8,8 +8,8 @@ ball
     || h - c_i ||  <=  r_i,   c_i = h_hat_i / (1-psi),
                               r_i = sqrt(psi) ||h_hat_i|| / (1-psi).
 
-_ball holds these centers and radii; the closed forms and the uniform
-sampler of true channels both read it.
+_ball holds these centers and radii, which the closed forms read, and
+_ball_steps the steps from them that ball_statistics and the sampler draw.
 
 Every quantity the allocation needs is a linear map of the channels, and
 its worst case over this product of balls has a closed form (the
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import responses, toeplitz_conv_matrix
+from .linops import real_response_map, responses, toeplitz_conv_matrix
 from .power import checked_total, solve_fixed_point
 from .sinr import Coupling, coupling_terms
 
@@ -256,6 +256,35 @@ def _ball_steps(h_hat, psi, rng, count):
         scale /= np.sqrt(np.einsum("pl,pl->p", z, z))
         np.multiply(z, scale[:, None], out=steps[:, i, :])
     return steps
+
+
+def ball_statistics(h1, g, psi, rng, draws):
+    """(tot, main) of every TR beam over each FU's sampled true channels.
+
+    Responses are linear in the channel: on a draw they are the responses
+    at the ball center minus the draw's real step (_ball_steps) times
+    linops.real_response_map. So one real product per FU gives every
+    beam's response on every draw, and no complex true channel is formed.
+    tot[j, p, k] is beam k's response energy on FU j's draw p and
+    main[j, p] the power of FU j's own beam at the central tap there.
+    """
+    _, n1, taps = g.shape
+    conv = real_response_map(g)
+    centers, _ = _ball(h1, psi)
+    at_center = np.concatenate([centers.real, centers.imag], axis=-1)
+    at_center = at_center.transpose(1, 0, 2).reshape(n1, -1) @ conv
+    tot = np.empty((n1, draws, n1))
+    main = np.empty((n1, draws))
+    for j in range(n1):
+        steps = _ball_steps(h1[:, j, :], psi, rng, draws)
+        energy = steps.reshape(draws, -1) @ conv
+        energy -= at_center[j]  # the negated responses: squared alike
+        np.square(energy, out=energy)
+        energy = energy.reshape(draws, n1, -1)
+        np.einsum("pkt->pk", energy, out=tot[j])
+        np.add(energy[:, j, 2 * taps - 2], energy[:, j, 2 * taps - 1],
+               out=main[j])
+    return tot, main
 
 
 def sample_true_channels(h_hat, psi, rng, count):

@@ -2,10 +2,14 @@
 
 import csv
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetnet_tr import cli, harness
 from hetnet_tr.cli import _parse_sweep, main
@@ -261,3 +265,87 @@ class TestRunCommand:
             main(["run", "--experiment", "mystery",
                   "--config", str(DEFAULT_INI),
                   "--out", str(tmp_path / "r.csv")])
+
+
+def check_trial_rows(experiment, rows):
+    """Each trial row's flags agree with its value cells: a feasible
+    nominal row has only finite cells and an infeasible one the
+    experiment's infeasible row; a robust design's flag is 1 exactly when
+    its power (and outage) cells are finite, and nan otherwise."""
+    spec = harness._REGISTRY[experiment]
+    for row in rows:
+        cells = {k: float(row[k]) for k in spec.values}
+        feasible = row["feasible"] == "1"
+        if experiment in ("fu-outage", "robust-power"):
+            solved = {k: cells[f"feas_{k}"] == 1.0 for k in harness._DESIGNS}
+            assert feasible == all(solved.values())
+            for k, ok in solved.items():
+                own = [v for key, v in cells.items()
+                       if key in (f"power_{k}_w", f"outage_{k}")]
+                assert all(map(math.isfinite if ok else math.isnan, own))
+            if experiment == "fu-outage" and solved["proposed"]:
+                assert cells["outage_proposed"] == 0.0
+        elif feasible:
+            assert all(map(math.isfinite, cells.values()))
+        else:
+            assert np.array_equal(list(cells.values()), spec.infeasible,
+                                  equal_nan=True)
+        if experiment == "mu-outage":
+            assert cells["outage_rate"] == 1.0 - feasible
+
+
+# (log10 noise W, p_tol dBm, path-loss exponents, SINR targets dB)
+REGIMES = {
+    "paper": ((-15.0, -9.0), (-40.0, 10.0), (2.0, 5.0), (-10.0, 10.0)),
+    "wide": ((-300.0, 300.0), (-3000.0, 3080.0), (-20.0, 20.0),
+             (-60.0, 60.0)),
+    # path loss, with noise and tolerated level near the top of the doubles
+    "top": ((250.0, 307.0), (2900.0, 3080.0), (0.0, 5.0), (-30.0, 30.0)),
+}
+
+
+def scenarios(regime):
+    """Scenario keys drawn from one regime's windows."""
+    noise, p_tol, exponent, target = REGIMES[regime]
+    return st.fixed_dictionaries({
+        "noise_power": st.floats(*noise).map(lambda x: 10.0 ** x),
+        "p_tol_dbm": st.floats(*p_tol),
+        **{k: st.floats(*exponent)
+           for k in ("exp_macro", "exp_femto", "exp_cross")},
+        **{k: st.floats(*target) for k in ("gamma_m_db", "gamma_f_db")}})
+
+
+class TestConfigSpace:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(scenario=st.sampled_from(sorted(REGIMES)).flatmap(scenarios))
+    def test_every_command_ends_cleanly(self, scenario):
+        """validate and one-trial runs of all six experiments exit 0, 2 or
+        3 without a numpy warning; a run exits 3 exactly when no trial row
+        is feasible, no cell is inf, and every flag agrees with its
+        cells."""
+        with tempfile.TemporaryDirectory() as folder:
+            ini = Path(folder) / "scenario.ini"
+            ini.write_text(
+                "[scenario]\n"
+                + "".join(f"{k} = {v!r}\n" for k, v in scenario.items())
+                + "[experiment]\ntrials = 1\nerror_draws = 20\n",
+                encoding="utf-8")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["validate", "--config", str(ini)]) in (0, 2, 3)
+                for experiment in harness.EXPERIMENTS:
+                    out = Path(folder) / f"{experiment}.csv"
+                    code = main(["run", "--experiment", experiment,
+                                 "--config", str(ini), "--out", str(out)])
+                    assert code in (0, 2, 3)
+                    if code == 2:
+                        continue
+                    text = out.read_text(encoding="utf-8")
+                    assert "inf" not in text
+                    rows = [r for r in csv.DictReader(text.splitlines())
+                            if r["row"] == "trial"]
+                    assert (code == 3) == all(r["feasible"] == "0"
+                                              for r in rows)
+                    check_trial_rows(experiment, rows)
+            assert [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)] == []

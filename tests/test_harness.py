@@ -19,7 +19,6 @@ from hetnet_tr.harness import (
     _REGISTRY,
     EXPERIMENTS,
     ExperimentSpec,
-    _ball_statistics,
     _draw_scenario,
     _robust_designs,
     _run_stack,
@@ -33,6 +32,7 @@ from hetnet_tr.power import (
 )
 from hetnet_tr.robust import (
     assemble_bounds,
+    ball_statistics,
     sample_true_channels,
     solve_robust,
 )
@@ -338,10 +338,27 @@ class TestRobustStacks:
                   for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
         _run_stack("fu-outage", [0], ScenarioConfig(), points,
                    {"error_draws": 5}, 5)
-        # the non-robust design's psi = 0 stack is built once per trial
-        assert sorted(calls) == [(0.0, None),
-                                 (0.02, "proposed"), (0.02, "young"),
+        # the non-robust design's psi = 0 stack comes from the stacked TR
+        # coupling of the setup, not from assemble_bounds
+        assert sorted(calls) == [(0.02, "proposed"), (0.02, "young"),
                                  (0.04, "proposed"), (0.04, "young")]
+
+    @pytest.mark.parametrize("shape", [{}, {"n1": 1}, {"n1": 3, "m1": 1},
+                                       {"taps": 9}],
+                             ids=["default", "n1=1", "n1=3,m1=1", "taps=9"])
+    def test_nominal_stack_is_assemble_bounds_at_psi_zero(self, shape):
+        """Each trial's psi = 0 stack, a slice of the setup's stacked TR
+        coupling, is assemble_bounds at psi = 0, bit for bit."""
+        cfg = ScenarioConfig(**shape)
+        trials = range(9)
+        channels, rngs = zip(*(_draw_scenario(cfg, 12345, t)
+                               for t in trials))
+        states = harness._robust_setup(channels, rngs, cfg, {})
+        for ch, (_, g, nominal, *_) in zip(channels, states):
+            ref = assemble_bounds(ch, g, 0.0, cfg.p_tol, cfg.noise_power)
+            for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
+                assert np.array_equal(getattr(nominal, field),
+                                      getattr(ref, field))
 
     def test_nonrobust_design_is_the_nominal_femto_design(self):
         """The psi = 0 stack of the TR beams alone and the FU block of the
@@ -373,8 +390,8 @@ class TestRobustStacks:
         channels, _ = _draw_scenario(cfg, 5, 0)
         g = tr_beamformer_cirs(channels.h1)
         M, n1, taps = g.shape
-        tot, main = _ball_statistics(channels.h1, g, 0.04,
-                                     np.random.default_rng(3), 4)
+        tot, main = ball_statistics(channels.h1, g, 0.04,
+                                    np.random.default_rng(3), 4)
         rng = np.random.default_rng(3)
         for j in range(n1):
             truths = sample_true_channels(channels.h1[:, j, :], 0.04, rng,
@@ -401,7 +418,7 @@ class TestRobustStacks:
         rng = np.random.default_rng(seed)
         g, h1 = crandn(rng, m, n1, taps), crandn(rng, m, n1, taps)
         got_rng = np.random.default_rng([seed, 1])
-        tot, main = _ball_statistics(h1, g, psi, got_rng, draws)
+        tot, main = ball_statistics(h1, g, psi, got_rng, draws)
         want_rng = np.random.default_rng([seed, 1])
         for j in range(n1):
             truths = sample_true_channels(h1[:, j, :], psi, want_rng, draws)
@@ -536,9 +553,10 @@ class TestRunExperiment:
 
     def test_workers_start_from_a_fresh_import(self, tmp_path, monkeypatch):
         """A harness attribute patched in this process does not reach the
-        workers: two workers write the unpatched bytes."""
+        workers: two workers write the unpatched bytes. Nine trials are
+        two stacks, so the run goes through the pool."""
         cfg = ScenarioConfig()
-        spec = spec_for("mu-outage", tmp_path, trials=2,
+        spec = spec_for("mu-outage", tmp_path, trials=9,
                         sweep={"gamma_m_db": (0.0, 2.0)}, seed=12345)
         monkeypatch.setenv("HETNET_TR_THREADS", "1")
         run_experiment(spec, cfg)
