@@ -2,9 +2,9 @@
 
 Each experiment is one _REGISTRY entry, and one loop, _run_stack, runs a
 stack of consecutive trials of any of them: every trial of the stack
-draws its own scenario, one setup builds the beams and couplings of all
-of them with the kernels' leading trial axis, and then each trial's
-sweep points run one by one.
+draws its own scenario, one setup builds the beams, couplings and bound
+stacks of all of them on the kernels' leading trial axis, and then each
+trial's sweep points run one by one and only solve and score.
 
 Every trial derives its own generator from (seed, trial id), and a
 trial's bits do not depend on the stack it runs in, so output bytes
@@ -139,7 +139,7 @@ _STACK = 8
 # ---------------------------------------------------------------------------
 # experiments: per-stack setups, per-point steps and the registry
 
-def _nominal_setup(channels, rngs, cfg, extra):
+def _nominal_setup(channels, rngs, cfg, points, extra):
     """Beams and their full coupling; neither depends on the SINR targets.
 
     A trial whose ZF selection leaves a MU without a reachable tap gets
@@ -182,7 +182,7 @@ def _tr_tier(h1, cfg):
     return g, Coupling.from_energy(*coupling_terms(g, h1, cfg.taps))
 
 
-def _tr_vs_zf_setup(channels, rngs, cfg, extra):
+def _tr_vs_zf_setup(channels, rngs, cfg, points, extra):
     """Single-tier couplings of the TR and the (non-strict) ZF beams."""
     h1 = ChannelSet.stack(channels).h1
     _, tr = _tr_tier(h1, cfg)
@@ -218,7 +218,7 @@ def _tr_vs_zf_step(state, pt, cfg):
             _mean_sinr_db(zf, powers, cfg)), True
 
 
-def _bound_tightness_setup(channels, rngs, cfg, extra):
+def _bound_tightness_setup(channels, rngs, cfg, points, extra):
     """FU 0's TR beam and estimated channel, and the oracle's generator."""
     g = tr_beamformer_cirs(ChannelSet.stack(channels).h1)[..., 0, :]
     return [(g_t, ch.h1[:, 0, :], rng)
@@ -234,51 +234,41 @@ def _bound_tightness_step(state, pt, cfg):
     return (young, prop, wc.max_energy, floor, wc.min_central, gap_db), True
 
 
-def _robust_setup(channels, rngs, cfg, extra):
-    """TR beams, their exact-CSI (psi = 0) stack and a per-psi cache."""
-    g, nominal = _tr_tier(ChannelSet.stack(channels).h1, cfg)
-    return [(ch, g_t, nom, rng, extra, {}) for ch, g_t, nom, rng in zip(
-        channels, g, nominal.unstack(), rngs)]
+def _robust_setup(channels, rngs, cfg, points, extra):
+    """Per trial: each design's stack at every psi of the points, a cache
+    for the error-ball statistics, and what they are drawn from. The
+    nonrobust design, and all three at psi = 0, read the TR beams' exact
+    stack; a robust variant at any other psi is one assemble_bounds call
+    on the whole stack."""
+    stack = ChannelSet.stack(channels)
+    g, exact = _tr_tier(stack.h1, cfg)
+    exact = exact.unstack()
+    states = [({}, {}, *trial, extra) for trial in zip(channels, g, rngs)]
+    for psi in {float(pt["psi"]) for pt in points}:
+        robust = [exact] * 2 if psi == 0.0 else [
+            assemble_bounds(stack, g, psi, cfg.p_tol, cfg.noise_power,
+                            variant=variant).unstack()
+            for variant in _DESIGNS[1:]]
+        for (stacks, *_), designs in zip(states, zip(exact, *robust)):
+            stacks[psi] = designs
+    return states
 
 
-def _robust_point(state, pt, cfg, ball):
-    """(error-ball statistics or None, designs, gamma_f) of one row.
-
-    The statistics and the worst-case stacks depend on psi but not on the
-    SINR target, so a trial builds them once per psi, the statistics
-    first, and every gamma_f reuses them.
-    """
-    channels, g, nominal, rng, extra, cache = state
-    psi = float(pt["psi"])
-    if psi not in cache:
-        stats = None
-        if ball:
-            stats = ball_statistics(channels.h1, g, psi, rng,
-                                    int(extra["error_draws"]))
-        cache[psi] = stats, {
-            variant: assemble_bounds(channels, g, psi, cfg.p_tol,
-                                     cfg.noise_power, variant=variant)
-            for variant in _DESIGNS[1:]}
-    stats, stacks = cache[psi]
-    gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
-    return stats, _robust_designs(nominal, stacks, gf, cfg), gf
-
-
-def _robust_designs(nominal, stacks, gamma_f, cfg):
+def _robust_designs(stacks, gamma_f, cfg):
     """Every design's allocation; None marks infeasibility.
 
-    nominal is the trial's psi = 0 stack, the exact-CSI coefficients of
-    its TR beams, and stacks the robust variants' stacks of those beams
-    at the row's psi; one solve serves every design.
+    stacks holds each design's stack in _DESIGNS order, and designs that
+    share a stack, all three at psi = 0, share its one solve.
     """
-    designs = {}
-    for label, bounds in (("nonrobust", nominal), *stacks.items()):
-        try:
-            designs[label] = solve_robust(bounds, gamma_f, cfg.p_tol,
-                                          cfg.noise_power)
-        except InfeasibleError:
-            designs[label] = None
-    return designs
+    solved = {}
+    for bounds in stacks:
+        if id(bounds) not in solved:
+            try:
+                solved[id(bounds)] = solve_robust(bounds, gamma_f, cfg.p_tol,
+                                                  cfg.noise_power)
+            except InfeasibleError:
+                solved[id(bounds)] = None
+    return {k: solved[id(b)] for k, b in zip(_DESIGNS, stacks)}
 
 
 def _design_row(designs):
@@ -315,15 +305,21 @@ def _ball_outages(tot, main, designs, gamma_f, floor):
 
 
 def _fu_outage_step(state, pt, cfg):
-    (tot, main), designs, gf = _robust_point(state, pt, cfg, True)
-    outages = _ball_outages(tot, main, designs, gf,
+    stacks, stats, channels, g, rng, extra = state
+    psi, gf = float(pt["psi"]), _db(pt.get("gamma_f_db", cfg.gamma_f_db))
+    if psi not in stats:  # drawn once per psi, in first-psi order
+        stats[psi] = ball_statistics(channels.h1, g, psi, rng,
+                                     int(extra["error_draws"]))
+    designs = _robust_designs(stacks[psi], gf, cfg)
+    outages = _ball_outages(*stats[psi], designs, gf,
                             cfg.p_tol + cfg.noise_power)
     cells, feasible = _design_row(designs)
     return (*outages, *cells), feasible
 
 
 def _robust_power_step(state, pt, cfg):
-    return _design_row(_robust_point(state, pt, cfg, False)[1])
+    gf = _db(pt.get("gamma_f_db", cfg.gamma_f_db))
+    return _design_row(_robust_designs(state[0][float(pt["psi"])], gf, cfg))
 
 
 @dataclass(frozen=True)
@@ -332,8 +328,8 @@ class _Experiment:
 
     values and axes are in CSV order; axes maps each sweep key to its
     default grid, and a None grid leaves the axis out unless swept (the
-    step then reads the config value). setup(channels, rngs, cfg, extra)
-    builds what each trial of a stack shares across its points, from the
+    step then reads the config value). setup(channels, rngs, cfg, points,
+    extra) builds what each trial of a stack needs at its points, from the
     stack's ChannelSets and generators, and returns one state per trial,
     None for a trial that is infeasible at every point. step(state,
     point, cfg) returns a point's (values, feasible); if it raises
@@ -400,14 +396,14 @@ def _run_stack(name, trials, cfg, points, extra, seed):
     """Every TrialRecord of a stack of trials, in trial then point order.
 
     Each trial draws its scenario, the experiment's setup runs once for
-    the stack, and its step once per trial and point. Only here does an
-    InfeasibleError become the infeasible row of its point, and a None
-    state that of every point of its trial. Each trial's state is dropped
-    once its rows are built, so per-trial caches do not pile up.
+    the stack and its points, and its step once per trial and point. Only
+    here does an InfeasibleError become the infeasible row of its point,
+    and a None state that of every point of its trial. Each trial's state
+    is dropped once its rows are built, so per-trial caches do not pile up.
     """
     exp = _REGISTRY[name]
     channels, rngs = zip(*(_draw_scenario(cfg, seed, t) for t in trials))
-    states = exp.setup(channels, rngs, cfg, extra)
+    states = exp.setup(channels, rngs, cfg, points, extra)
     rows = []
     for i, trial in enumerate(trials):
         state, states[i] = states[i], None

@@ -73,10 +73,11 @@ def _ball(h_hat, psi):
 def _ball_bounds(g, h, psi):
     """Closed-form worst cases of every beam over every victim's ball.
 
-    g (M, K, L) holds the filters and h (M, V, L) the estimated channels
-    of the V victim users. Returns (energy, isi, floor), each (V, K): beam
-    k's ceiling on its response energy at victim v, the same ceiling off
-    the central tap, and the floor on its central-tap power there.
+    g (..., M, K, L) holds the filters and h (..., M, V, L) the estimated
+    channels of the V victims. Returns (energy, isi, floor), each
+    (..., V, K): beam k's ceiling on its response energy at victim v, the
+    same ceiling off the central tap, and the floor on its central-tap
+    power there.
     """
     taps = g.shape[-1]
     G = toeplitz_conv_matrix(g)
@@ -85,7 +86,7 @@ def _ball_bounds(g, h, psi):
     # spectral norms of every G_i and of G_i without its central row
     sv = np.linalg.svd(np.stack([G, off]), compute_uv=False)[..., 0]
     centers, radii = _ball(h, psi)
-    radii = radii.T
+    radii = np.swapaxes(radii, -1, -2)
     resp = responses(g, centers)
     central = np.abs(resp[..., taps - 1])
     energy = (np.linalg.norm(resp, axis=-1) + radii @ sv[0]) ** 2
@@ -97,14 +98,14 @@ def _ball_bounds(g, h, psi):
 
 
 def _young(g, h, psi):
-    """Norm-product ceilings (V, K) of beams g (M, K, L) at channels h (M, V, L).
+    """Norm-product ceilings (..., V, K) of _ball_bounds' beams g at h.
 
     Per antenna the convolution 2-norm is at most ||g||_1 ||h||_2, the
     per-antenna amplitudes add, and the largest channel norm the error set
     admits is ||h_hat|| / (1 - sqrt(psi)).
     """
-    amp = np.sum(np.linalg.norm(h, axis=-1)[:, :, None]
-                 * np.sum(np.abs(g), axis=-1)[:, None, :], axis=0)
+    amp = np.sum(np.linalg.norm(h, axis=-1)[..., None]
+                 * np.sum(np.abs(g), axis=-1)[..., None, :], axis=-3)
     return (amp / (1.0 - float(np.sqrt(psi)))) ** 2
 
 
@@ -133,7 +134,9 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     exact signal floor. `proposed` ceilings the ISI directly; `young`
     ceilings the whole own-link energy and leaves the floor's share of it
     as ISI. psi = 0 gives the TR beams' exact single-tier Coupling, so
-    solve_robust of it is the non-robust femto design.
+    solve_robust of it is the non-robust femto design. A stacked
+    ChannelSet and filters on its trial axis give the stacked Coupling,
+    each trial's bits those of its own call.
     """
     psi = _check_psi(psi)
     if variant not in _VARIANTS:
@@ -145,13 +148,14 @@ def assemble_bounds(channels_est, g_hat, psi, p_tol, noise, variant="proposed"):
     if psi == 0.0:
         return Coupling.from_energy(*coupling_terms(g, h, channels_est.taps))
     energy, isi, floor = _ball_bounds(g, h, psi)
-    pl = np.diagonal(floor)
+    pl = np.diagonal(floor, axis1=-2, axis2=-1)
     if variant == "proposed":
-        ceiling, pu_isi = energy, np.diagonal(isi)
+        ceiling, pu_isi = energy, np.diagonal(isi, axis1=-2, axis2=-1)
     else:
         ceiling = _young(g, h, psi)
-        pu_isi = np.diagonal(ceiling) - pl
-    np.fill_diagonal(ceiling, 0.0)
+        pu_isi = np.diagonal(ceiling, axis1=-2, axis2=-1) - pl
+    victims = np.arange(ceiling.shape[-1])
+    ceiling[..., victims, victims] = 0.0
     return Coupling(pl, pu_isi, ceiling)
 
 

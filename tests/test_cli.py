@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hetnet_tr import cli, harness
@@ -318,6 +318,8 @@ def scenarios(regime):
 class TestConfigSpace:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(scenario=st.sampled_from(sorted(REGIMES)).flatmap(scenarios))
+    # noise at the top of the doubles over a femto exponent near 0
+    @example(scenario={"noise_power": 1.7e308, "exp_femto": 1e-320})
     def test_every_command_ends_cleanly(self, scenario):
         """validate and one-trial runs of all six experiments exit 0, 2 or
         3 without a numpy warning; a run exits 3 exactly when no trial row

@@ -295,7 +295,9 @@ class TestLogDomainSinr:
 
 class TestRobustStacks:
     def test_harness_stacks_are_assemble_bounds(self, monkeypatch):
-        """The rows use assemble_bounds of the trial's TR beams, bit for bit."""
+        """Each trial's rows use its slice of the stacked assemble_bounds,
+        which is the trial's own call bit for bit, and at psi = 0 the
+        trial's exact stack."""
         built = {}
 
         def recording(*args, variant="proposed"):
@@ -304,57 +306,85 @@ class TestRobustStacks:
 
         monkeypatch.setattr(harness, "assemble_bounds", recording)
         cfg = ScenarioConfig()
-        channels, _ = _draw_scenario(cfg, 5, 1)
-        g = tr_beamformer_cirs(channels.h1)
+        trials = [1, 2, 3]
         points = [{"psi": psi, "gamma_f_db": -6.0} for psi in (0.0, 0.04)]
-        rows = _run_stack("robust-power", [1], cfg, points, {}, 5)
-        for pt, row in zip(points, rows):
-            v = dict(row.values)
-            for variant in ("proposed", "young"):
-                ref = assemble_bounds(channels, g, pt["psi"], cfg.p_tol,
-                                      cfg.noise_power, variant=variant)
-                got = built[pt["psi"], variant]
-                for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
-                    assert np.array_equal(getattr(got, field),
-                                          getattr(ref, field))
-                try:
-                    want = float(np.sum(solve_robust(
-                        ref, 10.0 ** -0.6, cfg.p_tol, cfg.noise_power)))
-                except InfeasibleError:
-                    want = float("nan")
-                assert np.array_equal(v[f"power_{variant}_w"], want,
-                                      equal_nan=True)
+        rows = _run_stack("robust-power", trials, cfg, points, {}, 5)
+        assert sorted(built) == [(0.04, "proposed"), (0.04, "young")]
+        for i, trial in enumerate(trials):
+            channels, _ = _draw_scenario(cfg, 5, trial)
+            g = tr_beamformer_cirs(channels.h1)
+            for pt, row in zip(points, rows[i * 2:]):
+                v = dict(row.values)
+                for variant in ("proposed", "young"):
+                    ref = assemble_bounds(channels, g, pt["psi"], cfg.p_tol,
+                                          cfg.noise_power, variant=variant)
+                    if pt["psi"] != 0.0:
+                        got = built[pt["psi"], variant].unstack()[i]
+                        for field in ("pl_sig_coeff", "pu_isi_coeff",
+                                      "pu_co_coeff"):
+                            assert np.array_equal(getattr(got, field),
+                                                  getattr(ref, field))
+                    try:
+                        want = float(np.sum(solve_robust(
+                            ref, 10.0 ** -0.6, cfg.p_tol, cfg.noise_power)))
+                    except InfeasibleError:
+                        want = float("nan")
+                    assert np.array_equal(v[f"power_{variant}_w"], want,
+                                          equal_nan=True)
 
-    def test_stacks_built_once_per_psi(self, monkeypatch):
-        """Every gamma_f of a psi reuses that psi's two stacks."""
+    def test_stacks_built_once_per_stack_psi_and_variant(self, monkeypatch):
+        """One assemble_bounds call on the whole stack per psi != 0 and
+        variant serves every trial and gamma_f; psi = 0 needs none."""
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append((args[2], kwargs.get("variant")))
+            calls.append((args[0].h1.shape[0], args[2], kwargs["variant"]))
             return assemble_bounds(*args, **kwargs)
 
         monkeypatch.setattr(harness, "assemble_bounds", counting)
         points = [{"psi": psi, "gamma_f_db": gf}
-                  for psi in (0.02, 0.04) for gf in (-6.0, -4.0, -2.0)]
-        _run_stack("fu-outage", [0], ScenarioConfig(), points,
+                  for psi in (0.02, 0.0, 0.04) for gf in (-6.0, -4.0, -2.0)]
+        _run_stack("fu-outage", range(3), ScenarioConfig(), points,
                    {"error_draws": 5}, 5)
-        # the non-robust design's psi = 0 stack comes from the stacked TR
-        # coupling of the setup, not from assemble_bounds
-        assert sorted(calls) == [(0.02, "proposed"), (0.02, "young"),
-                                 (0.04, "proposed"), (0.04, "young")]
+        assert sorted(calls) == [(3, 0.02, "proposed"), (3, 0.02, "young"),
+                                 (3, 0.04, "proposed"), (3, 0.04, "young")]
+
+    @pytest.mark.parametrize("psi,solves", [(0.0, 1), (0.04, 3)])
+    def test_psi_zero_row_solves_once(self, monkeypatch, psi, solves):
+        """At psi = 0 every design reads the trial's exact stack, and one
+        solve serves all three; any other psi solves each design."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return solve_robust(*args)
+
+        monkeypatch.setattr(harness, "solve_robust", counting)
+        rows = _run_stack("robust-power", [0], ScenarioConfig(),
+                          [{"psi": psi, "gamma_f_db": -6.0}], {}, 5)
+        assert len(calls) == solves
+        v = dict(rows[0].values)
+        if psi == 0.0:
+            assert rows[0].feasible
+            assert all(v[f"power_{k}_w"] == v["power_nonrobust_w"]
+                       for k in _DESIGNS)
 
     @pytest.mark.parametrize("shape", [{}, {"n1": 1}, {"n1": 3, "m1": 1},
                                        {"taps": 9}],
                              ids=["default", "n1=1", "n1=3,m1=1", "taps=9"])
     def test_nominal_stack_is_assemble_bounds_at_psi_zero(self, shape):
-        """Each trial's psi = 0 stack, a slice of the setup's stacked TR
-        coupling, is assemble_bounds at psi = 0, bit for bit."""
+        """Each trial's exact stack, a slice of the setup's stacked TR
+        coupling, is assemble_bounds at psi = 0, bit for bit, and every
+        design reads it at psi = 0."""
         cfg = ScenarioConfig(**shape)
         trials = range(9)
         channels, rngs = zip(*(_draw_scenario(cfg, 12345, t)
                                for t in trials))
-        states = harness._robust_setup(channels, rngs, cfg, {})
-        for ch, (_, g, nominal, *_) in zip(channels, states):
+        states = harness._robust_setup(channels, rngs, cfg,
+                                       [{"psi": 0.0}, {"psi": 0.04}], {})
+        for ch, (stacks, _, _, g, *_) in zip(channels, states):
+            nominal = stacks[0.0][0]
+            assert all(b is nominal for b in (*stacks[0.0], stacks[0.04][0]))
             ref = assemble_bounds(ch, g, 0.0, cfg.p_tol, cfg.noise_power)
             for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
                 assert np.array_equal(getattr(nominal, field),
@@ -372,7 +402,7 @@ class TestRobustStacks:
                                       tr_beamformer_cirs(channels.h1), 0.0,
                                       cfg.p_tol, cfg.noise_power)
             for gf in (10.0 ** -0.6, 10.0 ** -0.2, 10.0 ** 0.2):
-                robust = _robust_designs(nominal, {}, gf, cfg)["nonrobust"]
+                robust = _robust_designs((nominal,) * 3, gf, cfg)["nonrobust"]
                 try:
                     alloc = solve_proposed(channels, cfg.gamma_m, gf,
                                            cfg.p_tol, cfg.noise_power,

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import crandn, designed_scenario, tr_coupling
+from helpers import crandn, designed_scenario, random_scenario, tr_coupling
 
+from hetnet_tr.beamform import tr_beamformer_cirs
 from hetnet_tr.channel import ChannelSet, ScenarioConfig
 from hetnet_tr.errors import InfeasibleError
 from hetnet_tr.harness import _run_stack
@@ -237,6 +238,30 @@ class TestAssembleBounds:
                 got = (b.pl_sig_coeff[j] + b.pu_isi_coeff[j] if j == j2
                        else b.pu_co_coeff[j, j2])
                 assert got == pytest.approx(ceiling, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [
+        {}, {"n1": 1}, {"n0": 1, "m0": 2},
+        {"m0": 2, "n0": 1, "n1": 3, "m1": 1}, {"taps": 9}],
+        ids=["default", "n1=1", "n0=1,m0=2", "m0=2,n0=1,n1=3,m1=1",
+             "taps=9"])
+    @pytest.mark.parametrize("psi", [0.0, 0.01, 0.04, 0.08])
+    @pytest.mark.parametrize("variant", ["proposed", "young"])
+    def test_stack_equals_per_trial_calls(self, shape, psi, variant):
+        """A stacked ChannelSet and filters give each trial's Coupling of
+        its own call, bit for bit."""
+        trials = [random_scenario(seed, **shape) for seed in range(9)]
+        cfg = trials[0][0]
+        channels = [ch for _, _, ch in trials]
+        stack = ChannelSet.stack(channels)
+        g = tr_beamformer_cirs(stack.h1)
+        stacked = assemble_bounds(stack, g, psi, cfg.p_tol, cfg.noise_power,
+                                  variant=variant)
+        for ch, got in zip(channels, stacked.unstack()):
+            ref = assemble_bounds(ch, tr_beamformer_cirs(ch.h1), psi,
+                                  cfg.p_tol, cfg.noise_power, variant=variant)
+            for field in ("pl_sig_coeff", "pu_isi_coeff", "pu_co_coeff"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(ref, field))
 
     def test_rejects_unknown_variant(self):
         """Only the two ceiling families are accepted."""
