@@ -332,7 +332,7 @@ class TestRobustStacks:
                     assert np.array_equal(v[f"power_{variant}_w"], want,
                                           equal_nan=True)
 
-    def test_stacks_built_once_per_stack_psi_and_variant(self, monkeypatch):
+    def test_stacks_built_once_per_psi(self, monkeypatch):
         """One assemble_bounds call on the whole stack per psi != 0 and
         variant serves every trial and gamma_f; psi = 0 needs none."""
         calls = []
